@@ -41,6 +41,7 @@ whole = regdet_progression(Progression(0, 1, None, 1))
 halves = multiply(regdet_progression(Progression(0, 2, None, 1)),
                   regdet_progression(Progression(-1, 2, None, 1)))
 print(f"  halves:            {render(halves)}")
-print(f"  normalize(halves): {render(normalize(halves))}")
 print(f"  whole:             {render(whole)}")
-assert normalize(halves) == whole
+print(f"  normalize(halves): {render(normalize(halves))}")
+print(f"  normalize(whole):  {render(normalize(whole))}")
+assert normalize(halves) == normalize(whole)

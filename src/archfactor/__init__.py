@@ -11,7 +11,7 @@ even and odd parts of a graded cyclic homology theory.
 
 from .cyclic import (Progression, SpectralMeasure, a_to_e, e_to_a,
                      har_dim, har_dim_from_sequence, hc_dim, hc_dim_complex,
-                     hn_dim, hp_dim, hp_real_dim, is_cyclic_pair,
+                     hn_dim, hp_dim, is_cyclic_pair,
                      is_pole_pair, same_spectrum, theta_spectrum,
                      weight_spectrum)
 from .deligne import OutOfRegimeError, deligne_dim, pole_order
@@ -39,7 +39,7 @@ __all__ = [
     "completed_alternating_product", "deligne_dim", "direct_sum",
     "divisor_of", "e_to_a", "evaluate_log", "from_json_dict", "gamma_c",
     "gamma_r", "har_dim", "har_dim_from_sequence", "hc_dim",
-    "hc_dim_complex", "hn_dim", "hp_dim", "hp_real_dim",
+    "hc_dim_complex", "hn_dim", "hp_dim",
     "hurwitz_zeta_deriv0", "identity", "is_cyclic_pair", "is_pole_pair",
     "linear", "loggamma_signed", "multiply", "normalize", "order_at",
     "pole_order", "power", "prefactor", "preset", "regdet_measure",

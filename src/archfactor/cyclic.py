@@ -96,7 +96,8 @@ def hc_dim(data: HodgeData, n: int, j: int) -> int:
 
 
 def hp_dim(data: HodgeData, n: int, j: int) -> int:
-    """Complex dimension of periodic cyclic homology: b_{2j-n}."""
+    """Complex dimension of periodic cyclic homology, and the real rank
+    of the rational lattice inside it: b_{2j-n}."""
     if n < 0 or j < 0:
         return 0
     return betti(data, 2 * j - n) if 2 * j - n >= 0 else 0
@@ -114,12 +115,6 @@ def hn_dim(data: HodgeData, n: int, j: int) -> int:
     if piece is None:
         return 0
     return sum(h for (p, q), h in piece.hpq.items() if p >= j)
-
-
-def hp_real_dim(data: HodgeData, n: int, j: int) -> int:
-    """Real rank of the rational lattice inside periodic cyclic
-    homology; numerically again b_{2j-n}."""
-    return hp_dim(data, n, j)
 
 
 def har_dim(data: HodgeData, n: int, j: int) -> int:

@@ -21,10 +21,11 @@ constant 1, and the duplication formula picks up a 2:
 
     GR(z) * GR(z+1) = 2 * GC(z).
 
-All structural operations (multiply, power, normalize, divisor of zeros
-and poles) are exact integer/rational arithmetic.  Only
-:func:`evaluate_log` leaves the exact world; it works in the log domain
-with an explicit sign, so large exponents never overflow.
+All structural operations (multiply, power, the canonical form
+:func:`normalize`, divisor of zeros and poles) are exact
+integer/rational arithmetic.  Only :func:`evaluate_log` leaves the
+exact world; it works in the log domain with an explicit sign, so large
+exponents never overflow.
 """
 
 from __future__ import annotations
@@ -233,64 +234,33 @@ def divisor_of(x: GammaExpression, window) -> Divisor:
 
 
 def normalize(x: GammaExpression) -> GammaExpression:
-    """Rewrite x into a preferred equal-value form.
+    """The canonical form GR(s)^u * GR(s+1)^v * linear factors * prefactor.
 
-    Two value-preserving moves are applied until exhaustion:
-
-    * adjacent GR pairing, lowest shift first:
-      GR(s+a)^t * GR(s+a+1)^t = 2^t * GC(s+a)^t  (either sign of t);
-    * absorption of linear factors into GC via GC(z+1) = (z/2pi) GC(z),
-      in both directions:
-        GC(s+a)^t * ((s+a)/2pi)^t      = GC(s+a+1)^t
-        GC(s+a)^t * ((s+a-1)/2pi)^(-t) = GC(s+a-1)^t.
-
-    Both moves preserve the numeric value exactly; the duplication move
-    books its factor 2^t into the prefactor.
+    Duplication, GC(z) = 2^(-1) GR(z) GR(z+1), removes every GC; the
+    step-2 shift, GR(z+2) = (z/2pi) GR(z), moves GR(s+a) to
+    GR(s + a mod 2), booking one linear factor per step.  Two expressions
+    have the same value exactly when their normal forms are equal: far
+    to the left the pole orders fix u and v, the rational part fixes the
+    linear factors, and as log 2 and log pi are independent over Q the
+    value fixes the prefactor.
     """
-    gr = dict(x.gr)
-    gc = dict(x.gc)
-    lin = dict(x.lin)
+    shifts = dict(x.gr)
     a2 = x.a2
-
-    for a in sorted(gr):
-        e1 = gr.get(a, 0)
-        e2 = gr.get(a + 1, 0)
-        if e1 and e2 and (e1 > 0) == (e2 > 0):
-            sgn = 1 if e1 > 0 else -1
-            t = min(abs(e1), abs(e2))
-            gr[a] = e1 - sgn * t
-            gr[a + 1] = e2 - sgn * t
-            gc[a] = gc.get(a, 0) + sgn * t
-            a2 += sgn * t
-
-    changed = True
-    while changed:
-        changed = False
-        for m in sorted(lin):
-            e = lin.get(m, 0)
-            if not e:
-                continue
-            sgn = 1 if e > 0 else -1
-            # raise the shift: lin root m pairs with GC shift -m, same sign
-            g = gc.get(-m, 0)
-            if g and (g > 0) == (e > 0):
-                t = min(abs(e), abs(g))
-                lin[m] = e - sgn * t
-                gc[-m] = g - sgn * t
-                gc[1 - m] = gc.get(1 - m, 0) + sgn * t
-                changed = True
-                continue
-            # lower the shift: lin root m pairs with GC shift 1-m, opposite sign
-            g = gc.get(1 - m, 0)
-            if g and (g > 0) != (e > 0):
-                t = min(abs(e), abs(g))
-                sg = -sgn
-                lin[m] = e + sg * t
-                gc[1 - m] = g - sg * t
-                gc[-m] = gc.get(-m, 0) + sg * t
-                changed = True
-
-    return GammaExpression(gr=gr, gc=gc, lin=lin,
+    for a, e in x.gc.items():
+        shifts[a] = shifts.get(a, 0) + e
+        shifts[a + 1] = shifts.get(a + 1, 0) + e
+        a2 -= e
+    gr: dict = {}
+    lin = dict(x.lin)
+    for a, e in shifts.items():
+        r = a % 2
+        gr[r] = gr.get(r, 0) + e
+        # GR(s+a) = GR(s+r) * prod ((s+b)/2pi)^sign, with b running by 2
+        # from min(a, r) up to, not including, max(a, r)
+        sign = 1 if a > r else -1
+        for b in range(min(a, r), max(a, r), 2):
+            lin[-b] = lin.get(-b, 0) + sign * e
+    return GammaExpression(gr=gr, lin=lin,
                            a2=a2, b2=x.b2, api=x.api, bpi=x.bpi)
 
 

@@ -17,6 +17,7 @@ supplies.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 
 
@@ -257,22 +258,57 @@ def to_json_dict(data: HodgeData) -> dict:
     return doc
 
 
-def from_json_dict(doc: dict) -> HodgeData:
-    """Inverse of :func:`to_json_dict`; raises ValueError on bad shape."""
-    try:
-        name = str(doc.get("name", "unnamed"))
-        dim = int(doc["dim"])
-        place = Place(doc["place"])
-        pieces = []
-        for entry in doc["weights"]:
-            hpq = {}
-            for key, h in entry["hpq"].items():
-                p, q = key.split(",")
-                hpq[(int(p), int(q))] = int(h)
-            split = entry.get("middle_split")
-            if split is not None:
-                split = (int(split[0]), int(split[1]))
-            pieces.append(WeightPiece(int(entry["w"]), hpq, split))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed input document: {exc}") from exc
-    return HodgeData(name, dim, place, tuple(pieces))
+_JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer"}
+
+
+def _expect(value, kind: type, path: str):
+    # an exact type test: JSON true/false are bools, a subclass of int
+    if type(value) is not kind:
+        got = (_JSON_NAMES[type(value)] if isinstance(value, (dict, list))
+               else repr(value))
+        raise ValueError(f"{path}: expected {_JSON_NAMES[kind]}, got {got}")
+    return value
+
+
+def _get(obj: dict, at: str, key: str, kind: type):
+    path = f"{at}.{key}" if at else key
+    if key not in obj:
+        raise ValueError(f"{path}: missing")
+    return _expect(obj[key], kind, path)
+
+
+def from_json_dict(doc) -> HodgeData:
+    """Inverse of :func:`to_json_dict`, strict about shape.
+
+    Every level must be an object, every count an integer (never a
+    boolean, float or infinity) and every ``hpq`` key ``"p,q"``.  Raises
+    ValueError naming the JSON path of the first offending value.
+    """
+    _expect(doc, dict, "document")
+    name = _expect(doc.get("name", "unnamed"), str, "name")
+    dim = _get(doc, "", "dim", int)
+    place = _get(doc, "", "place", str)
+    if place not in {p.value for p in Place}:
+        raise ValueError(f'place: expected "real" or "complex", got {place!r}')
+    pieces = []
+    for i, entry in enumerate(_get(doc, "", "weights", list)):
+        at = f"weights[{i}]"
+        _expect(entry, dict, at)
+        hpq = {}
+        for key, h in _get(entry, at, "hpq", dict).items():
+            path = f"{at}.hpq[{json.dumps(key)}]"
+            try:
+                p, q = map(int, key.split(","))
+            except ValueError:
+                raise ValueError(f'{path}: expected a key "p,q"') from None
+            hpq[(p, q)] = _expect(h, int, path)
+        split = entry.get("middle_split")
+        if split is not None:
+            path = f"{at}.middle_split"
+            if len(_expect(split, list, path)) != 2:
+                raise ValueError(f"{path}: expected [h_plus, h_minus], "
+                                 f"got a list of {len(split)}")
+            split = tuple(_expect(h, int, f"{path}[{k}]")
+                          for k, h in enumerate(split))
+        pieces.append(WeightPiece(_get(entry, at, "w", int), hpq, split))
+    return HodgeData(name, dim, Place(place), tuple(pieces))

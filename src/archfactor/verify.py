@@ -1,17 +1,14 @@
 """End-to-end check that the completed Gamma-factor product and the
 regularized-determinant ratio agree.
 
-The two sides are built by unrelated routes.  The left side multiplies
-the classical local factors with alternating exponents; the right side
-regularizes the spectrum of the scaling generator block by block.  The
-comparison is done where it is meaningful:
-
-* the divisors of zeros and poles on an integer window, including the
-  eventually periodic tails, must agree exactly;
-* the ratio LHS/RHS, evaluated at sample points to the right of every
-  zero and pole, must be a constant (s-independent); its log is
-  reported, not asserted, since the regularization is allowed to leave
-  a harmless constant such as a power of sqrt(2) behind.
+The left side multiplies the classical local factors with alternating
+exponents; the right side regularizes the spectrum of the scaling
+generator block by block.  The verdict is exact and per weight: the
+normal form of LHS_w / RHS_w must be a constant the theorem allows, 1
+over C and a power of sqrt(2) over R.  The divisors of the whole
+products on an integer window, tails included, and log(LHS/RHS) at
+sample points are reported alongside: the first explains a mismatch,
+the second checks the constant in floating point.
 """
 
 from __future__ import annotations
@@ -20,11 +17,12 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .cyclic import theta_spectrum, weight_spectrum
-from .factors import completed_alternating_product, serre_factor
-from .gamma import (SINGULARITY_GUARD, Divisor, divisor_of, evaluate_log,
-                    identity, order_at, power)
-from .hodge import HodgeData, validate
+from .cyclic import weight_spectrum
+from .factors import serre_factor
+from .gamma import (SINGULARITY_GUARD, Divisor, GammaExpression, divisor_of,
+                    evaluate_log, identity, multiply, normalize, order_at,
+                    power, render)
+from .hodge import HodgeData, Place, validate
 from .regdet import regdet_measure
 
 
@@ -68,9 +66,10 @@ class SamplePoint:
 class VerificationReport:
     """Outcome of one verification run.
 
-    ``constant_log`` is the mean of log(LHS) - log(RHS) over the sample
-    points and ``constant_stddev`` its population spread; a genuine
-    identity-up-to-constant shows a spread at roundoff level.
+    ``per_weight`` says for each weight whether normalize(LHS_w / RHS_w)
+    is an allowed constant; ``residue`` is their product, LHS / RHS.
+    ``constant_log`` and ``constant_stddev`` are the mean and spread of
+    log(LHS) - log(RHS) over the samples, reported, not asserted.
     """
 
     name: str
@@ -78,17 +77,15 @@ class VerificationReport:
     mismatch_witness: int | None
     window: tuple
     per_weight: tuple
+    residue: GammaExpression
     constant_log: float
     constant_stddev: float
     samples: tuple
-    tol: float
 
-    def ok(self, tol: float | None = None) -> bool:
-        tol = self.tol if tol is None else tol
+    def ok(self) -> bool:
         return (self.divisor_match
                 and all(match for _, match in self.per_weight)
-                and all(p.signs_agree for p in self.samples)
-                and self.constant_stddev < tol)
+                and all(p.signs_agree for p in self.samples))
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,6 +95,7 @@ class VerificationReport:
             "mismatch_witness": self.mismatch_witness,
             "window": list(self.window),
             "per_weight": [[w, match] for w, match in self.per_weight],
+            "residue": render(self.residue),
             "constant_log": self.constant_log,
             "constant_stddev": self.constant_stddev,
             "samples": [{"s": p.s, "lhs_log": p.lhs_log,
@@ -115,23 +113,31 @@ def _check_samples(samples, exprs, min_dist=1e-6):
                     f"sample s={s} within {min_dist} of divisor point m={m}")
 
 
+def _is_allowed_constant(residue: GammaExpression, place: Place) -> bool:
+    """Whether a normal form is 2^(k/2) for an integer k, with k = 0 at
+    a complex place: the constants the theorem allows."""
+    return (not (residue.gr or residue.gc or residue.lin)
+            and residue.b2 == residue.api == residue.bpi == 0
+            and (2 * residue.a2).denominator == 1
+            and (place is Place.REAL or residue.a2 == 0))
+
+
 def verify_theorem(data: HodgeData, samples=None, window=None,
-                   tol: float = 1e-9,
                    guard: float = SINGULARITY_GUARD) -> VerificationReport:
     """Compare the completed factor product against the determinant
-    ratio of the scaling spectrum, divisor by divisor and numerically.
+    ratio of the scaling spectrum, weight by weight and exactly.
 
-    Default sample points sit to the right of every zero and pole; the
-    default window reaches low enough that both tails are certified.
+    Each weight's spectrum is built once.  Default sample points sit to
+    the right of every zero and pole; the default window reaches low
+    enough that both tails are certified.
     """
     bad = validate(data)
     if bad:
         raise ValueError("invalid data: " + "; ".join(bad))
 
     d = data.dim
-    max_head = d
     if samples is None:
-        samples = tuple(max_head + off for off in (0.7, 1.6, 2.5, 3.4))
+        samples = tuple(d + off for off in (0.7, 1.6, 2.5, 3.4))
     else:
         samples = tuple(float(s) for s in samples)
         if not samples:
@@ -141,15 +147,9 @@ def verify_theorem(data: HodgeData, samples=None, window=None,
     else:
         lo, hi = int(window[0]), int(window[1])
     lo = min(lo, math.floor(min(samples)) - 5, -20)
-    hi = max(hi, max_head + 2)
+    hi = max(hi, d + 2)
 
-    lhs = completed_alternating_product(data)
-    rhs = regdet_measure(theta_spectrum(data)).ratio
-    _check_samples(samples, (lhs, rhs))
-
-    divisor_match, witness = compare_divisors(
-        divisor_of(lhs, (lo, hi)), divisor_of(rhs, (lo, hi)))
-
+    lhs = rhs = residue = identity()
     per_weight = []
     for w in range(0, 2 * d + 1):
         piece = data.piece(w)
@@ -157,9 +157,15 @@ def verify_theorem(data: HodgeData, samples=None, window=None,
         lhs_w = (power(serre_factor(piece, data.place), sign)
                  if piece is not None else identity())
         rhs_w = regdet_measure(weight_spectrum(data, w)).ratio
-        match, _ = compare_divisors(
-            divisor_of(lhs_w, (lo, hi)), divisor_of(rhs_w, (lo, hi)))
-        per_weight.append((w, match))
+        residue_w = normalize(multiply(lhs_w, power(rhs_w, -1)))
+        per_weight.append((w, _is_allowed_constant(residue_w, data.place)))
+        lhs = multiply(lhs, lhs_w)
+        rhs = multiply(rhs, rhs_w)
+        residue = multiply(residue, residue_w)
+    _check_samples(samples, (lhs, rhs))
+
+    divisor_match, witness = compare_divisors(
+        divisor_of(lhs, (lo, hi)), divisor_of(rhs, (lo, hi)))
 
     points = []
     diffs = []
@@ -175,8 +181,8 @@ def verify_theorem(data: HodgeData, samples=None, window=None,
         mismatch_witness=witness,
         window=(lo, hi),
         per_weight=tuple(per_weight),
+        residue=residue,
         constant_log=statistics.fmean(diffs),
         constant_stddev=statistics.pstdev(diffs),
         samples=tuple(points),
-        tol=tol,
     )

@@ -151,3 +151,29 @@ def test_custom_window_and_samples(capsys):
     doc = json.loads(out)
     assert doc["window"][0] <= -24
     assert [p["s"] for p in doc["samples"]] == [2.25, 3.75]
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param('[{"dim": 1}]', "document: expected object, got list",
+                 id="top_level_list"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": [[0, 0, 1]]}]}',
+                 "weights[0].hpq: expected object, got list", id="hpq_list"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": 1e400}}]}',
+                 'weights[0].hpq["0,0"]: expected integer, got inf',
+                 id="infinite_count"),
+    pytest.param('{"dim": 1.9, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": 1}}]}',
+                 "dim: expected integer, got 1.9", id="float_dim"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": true}}]}',
+                 'weights[0].hpq["0,0"]: expected integer, got True',
+                 id="bool_count"),
+])
+def test_verify_malformed_document_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]

@@ -4,7 +4,7 @@ import pytest
 
 from archfactor import (Place, Progression, SpectralMeasure, a_to_e, betti,
                         direct_sum, e_to_a, har_dim, har_dim_from_sequence,
-                        hc_dim, hc_dim_complex, hn_dim, hp_dim, hp_real_dim,
+                        hc_dim, hc_dim_complex, hn_dim, hp_dim,
                         is_cyclic_pair, is_pole_pair, pole_order, preset,
                         same_spectrum, theta_spectrum, weight_spectrum)
 from helpers import random_hodge_data
@@ -81,7 +81,8 @@ def test_exact_sequence_dimension_identity():
 
 
 def test_lattice_cokernel_identity_complex_places():
-    # hp_real(n+2, j+1) + har(n, j) = 2 * hc(n, j) at complex places
+    # hp(n+2, j+1) + har(n, j) = 2 * hc(n, j) at complex places, with hp
+    # counting the real rank of the rational lattice
     rng = random.Random(601)
     datasets = [preset(name) for name in ("point_C", "P1_C", "P2_C",
                                           "elliptic_C")]
@@ -92,7 +93,7 @@ def test_lattice_cokernel_identity_complex_places():
             for j in range(0, (n + 2 * data.dim) // 2 + 2):
                 if not is_cyclic_pair(n, j, data.dim):
                     continue
-                assert (hp_real_dim(data, n + 2, j + 1) + har_dim(data, n, j)
+                assert (hp_dim(data, n + 2, j + 1) + har_dim(data, n, j)
                         == 2 * hc_dim_complex(data, n, j))
 
 

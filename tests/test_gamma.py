@@ -136,8 +136,7 @@ def test_duplication_pairs_into_gc():
     # GR(s) GR(s+1) = 2 GC(s); normalize must book the 2
     x = multiply(gamma_r(0, 1), gamma_r(1, 1))
     n = normalize(x)
-    assert n.gr == {} and n.gc == {0: 1}
-    assert n.a2 == 1
+    assert n == normalize(multiply(prefactor(a2=1), gamma_c(0, 1)))
     for s in (0.3, 1.7, 2.5):
         assert logs_agree(x, n, s, tol=1e-12)
         val, sign = evaluate_log(x, s)
@@ -148,7 +147,7 @@ def test_duplication_pairs_into_gc():
 def test_duplication_chain_lowest_first():
     x = GammaExpression(gr={0: 1, 1: 2, 2: 1})
     n = normalize(x)
-    assert n.gr == {} and n.gc == {0: 1, 1: 1} and n.a2 == 2
+    assert n == normalize(GammaExpression(gc={0: 1, 1: 1}, a2=2))
     for s in (0.3, 1.7, 2.5):
         assert logs_agree(x, n, s, tol=1e-12)
 
@@ -157,7 +156,7 @@ def test_linear_absorption_raises_shift():
     # ((s-1)/2pi) * GC(s-1) = GC(s)
     x = multiply(linear(1, 1), gamma_c(-1, 1))
     n = normalize(x)
-    assert n == gamma_c(0, 1)
+    assert n == normalize(gamma_c(0, 1))
     for s in (0.3, 1.7, 2.5):
         assert logs_agree(x, n, s, tol=1e-12)
 
@@ -166,7 +165,7 @@ def test_linear_absorption_lowers_shift():
     # GC(s+3)^-1 * ((s)/2pi)((s+1)/2pi)((s+2)/2pi) = GC(s)^-1
     x = GammaExpression(gc={3: -1}, lin={0: 1, -1: 1, -2: 1})
     n = normalize(x)
-    assert n == gamma_c(0, -1)
+    assert n == normalize(gamma_c(0, -1))
     for s in (0.3, 1.7, 2.5):
         assert logs_agree(x, n, s, tol=1e-12)
 
@@ -186,6 +185,42 @@ def test_normalize_is_idempotent():
     for _ in range(40):
         n = normalize(random_expression(rng, size=4))
         assert normalize(n) == n
+
+
+def _value_preserving_rewrite(rng, x):
+    # multiply by (one/other)^t for an identity one = other of the
+    # duplication, GC step-1 or GR step-2 kind; t < 0 rewrites backwards
+    a = rng.randint(-5, 5)
+    kind = rng.randrange(3)
+    if kind == 0:    # GR(s+a) GR(s+a+1) = 2 GC(s+a)
+        one = GammaExpression(gr={a: 1, a + 1: 1})
+        other = GammaExpression(gc={a: 1}, a2=1)
+    elif kind == 1:  # GC(s+a+1) = ((s+a)/2pi) GC(s+a)
+        one = gamma_c(a + 1)
+        other = GammaExpression(gc={a: 1}, lin={-a: 1})
+    else:            # GR(s+a+2) = ((s+a)/2pi) GR(s+a)
+        one = gamma_r(a + 2)
+        other = GammaExpression(gr={a: 1}, lin={-a: 1})
+    t = rng.choice([-2, -1, 1, 2])
+    return multiply(x, power(multiply(one, power(other, -1)), t))
+
+
+def test_normalize_is_canonical_under_rewrites():
+    rng = random.Random(3)
+    for _ in range(200):
+        x = random_expression(rng, size=5)
+        y = x
+        for _ in range(rng.randint(1, 6)):
+            y = _value_preserving_rewrite(rng, y)
+        assert normalize(y) == normalize(x), (x, y)
+        for s in nonsingular_points(rng, multiply(x, y), 2):
+            assert logs_agree(x, y, s, tol=1e-10)
+
+
+def test_normalize_reduces_identity_to_one():
+    # GR(s+1)/GR(s-1) = (s-1)/2pi and GC(s-1)/GC(s) = 2pi/(s-1)
+    x = GammaExpression(gr={-1: -1, 1: 1}, gc={-1: 1, 0: -1})
+    assert normalize(x).is_identity()
 
 
 def test_prefactor_evaluation():

@@ -1,12 +1,27 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from archfactor import (HodgeData, Place, WeightPiece, compare_divisors,
-                        divisor_of, gamma_c, gamma_r, preset, validate,
+import archfactor.verify as verify_module
+from archfactor import (PRESET_NAMES, HodgeData, Place, SpectralMeasure,
+                        WeightPiece, compare_divisors, divisor_of, gamma_c,
+                        gamma_r, multiply, prefactor, preset, validate,
                         verify_theorem)
 from helpers import random_hodge_data
+
+
+def full_diamond(place: Place, value: int, d: int = 3) -> HodgeData:
+    """Every h^{p,q} with 0 <= p, q <= d equal to value; the middle
+    pieces split all to h_plus at a real place."""
+    pieces = []
+    for w in range(2 * d + 1):
+        hpq = {(p, w - p): value for p in range(max(0, w - d), min(w, d) + 1)}
+        mid = hpq.get((w // 2, w // 2), 0) if w % 2 == 0 else 0
+        split = (mid, 0) if place is Place.REAL and mid else None
+        pieces.append(WeightPiece(w, hpq, split))
+    return HodgeData(f"diamond_{place.value}", d, place, tuple(pieces))
 
 
 def test_all_presets_verify():
@@ -53,6 +68,66 @@ def test_randomized_roundtrip():
         data = random_hodge_data(rng)
         report = verify_theorem(data, window=(-30, 5))
         assert report.ok(), (data, report.mismatch_witness)
+
+
+def test_huge_hodge_numbers_verify():
+    # the float spread here is about 1e-9, above any absolute tolerance
+    # that small data would suggest; the exact verdict does not see it
+    for place in Place:
+        report = verify_theorem(full_diamond(place, 10 ** 6))
+        assert report.ok(), (place, report.constant_stddev)
+        assert all(match for _, match in report.per_weight)
+
+
+def test_wrong_multiplicity_fails_its_weight(monkeypatch):
+    exact = verify_module.weight_spectrum
+
+    def skewed(data, w):
+        measure = exact(data, w)
+        if w != 1:
+            return measure
+        first, *rest = measure.odd
+        bumped = dataclasses.replace(first,
+                                     multiplicity=first.multiplicity + 1)
+        return SpectralMeasure(measure.even, (bumped, *rest))
+
+    monkeypatch.setattr(verify_module, "weight_spectrum", skewed)
+    report = verify_theorem(preset("elliptic_R"))
+    assert report.ok() is False
+    assert dict(report.per_weight) == {0: True, 1: False, 2: True}
+
+
+@pytest.mark.parametrize("name, a2, allowed", [
+    ("point_C", "1/2", False),  # over C the constant is exactly 1
+    ("point_R", "1/2", True),   # over R any power of sqrt(2) is allowed
+    ("point_R", "1/4", False),
+])
+def test_constant_is_asserted(monkeypatch, name, a2, allowed):
+    exact = verify_module.regdet_measure
+
+    def scaled(measure):
+        dets = exact(measure)
+        return dets._replace(ratio=multiply(dets.ratio, prefactor(a2=a2)))
+
+    monkeypatch.setattr(verify_module, "regdet_measure", scaled)
+    report = verify_theorem(preset(name))
+    assert report.divisor_match
+    assert report.ok() is allowed
+    assert dict(report.per_weight) == {0: allowed}
+
+
+def test_samples_agree_with_exact_constant():
+    rng = random.Random(803)
+    datasets = [preset(name) for name in PRESET_NAMES]
+    datasets += [random_hodge_data(rng) for _ in range(25)]
+    datasets += [full_diamond(place, 10 ** 6) for place in Place]
+    for data in datasets:
+        report = verify_theorem(data)
+        assert report.ok(), data
+        exact = float(report.residue.a2) * math.log(2)
+        for p in report.samples:
+            assert (abs(p.lhs_log - p.rhs_log - exact)
+                    <= 1e-10 * max(1.0, abs(p.lhs_log))), (data, p)
 
 
 def test_per_weight_breakdown_present():
