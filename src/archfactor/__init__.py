@@ -19,7 +19,8 @@ from .factors import completed_alternating_product, serre_factor
 from .gamma import (Divisor, GammaExpression, SINGULARITY_GUARD,
                     SingularEvaluationError, divisor_of, evaluate_log,
                     gamma_c, gamma_r, identity, linear, loggamma_signed,
-                    multiply, normalize, order_at, power, prefactor, render)
+                    multiply, normalize, order_at, power, prefactor, product,
+                    render)
 from .hodge import (HodgeData, PRESET_NAMES, Place, WeightPiece, betti,
                     betti_eigen, direct_sum, from_json_dict, preset,
                     to_json_dict, validate)
@@ -42,7 +43,7 @@ __all__ = [
     "hc_dim_complex", "hn_dim", "hp_dim",
     "hurwitz_zeta_deriv0", "identity", "is_cyclic_pair", "is_pole_pair",
     "linear", "loggamma_signed", "multiply", "normalize", "order_at",
-    "pole_order", "power", "prefactor", "preset", "regdet_measure",
+    "pole_order", "power", "prefactor", "preset", "product", "regdet_measure",
     "regdet_progression", "render", "same_spectrum", "serre_factor",
     "theta_spectrum", "to_json_dict", "validate", "verify_theorem",
     "weight_spectrum",

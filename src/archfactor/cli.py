@@ -127,26 +127,21 @@ def _spectrum_doc(measure, depth: int) -> dict:
 
 def _cmd_spectrum(args) -> int:
     data = load_input(args.input)
-    if args.weight is None:
-        measure = theta_spectrum(data)
-    else:
-        measure = weight_spectrum(data, args.weight)
+    measure = (theta_spectrum(data) if args.weight is None
+               else weight_spectrum(data, args.weight))
+    doc = _spectrum_doc(measure, args.depth)
     if args.json:
-        _emit({"name": data.name, "spectrum": _spectrum_doc(measure, args.depth)})
+        _emit({"name": data.name, "spectrum": doc})
         return EXIT_OK
-    for parity, label in ((0, "even"), (1, "odd")):
+    for label, part in doc.items():
         print(f"parity {label}:")
-        top = measure.max_head(parity)
-        for m in range(top, top - args.depth, -1):
-            mult = measure.multiplicity(parity, m)
+        for m, mult in part["head"].items():
             if mult:
                 print(f"  m={m}: {mult}")
-        tails = [p for p in measure.progressions(parity) if p.count is None]
-        if tails:
-            for p in tails:
-                print(f"  tail: m = {p.first}, {p.first - p.step}, ... "
-                      f"multiplicity {p.multiplicity}")
-        else:
+        for t in part["tails"]:
+            print(f"  tail: m = {t['first']}, {t['first'] - t['step']}, ... "
+                  f"multiplicity {t['multiplicity']}")
+        if not part["tails"]:
             print("  tail: none")
     return EXIT_OK
 

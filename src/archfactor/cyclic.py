@@ -82,10 +82,7 @@ def hc_dim_complex(data: HodgeData, n: int, j: int) -> int:
     w = 2 * j - n
     if not 0 <= w <= 2 * data.dim:
         return 0
-    piece = data.piece(w)
-    if piece is None:
-        return 0
-    return sum(h for (p, q), h in piece.hpq.items() if p <= j)
+    return data.piece(w).below(j + 1)
 
 
 def hc_dim(data: HodgeData, n: int, j: int) -> int:
@@ -112,9 +109,7 @@ def hn_dim(data: HodgeData, n: int, j: int) -> int:
     if not 0 <= w <= 2 * data.dim:
         return 0
     piece = data.piece(w)
-    if piece is None:
-        return 0
-    return sum(h for (p, q), h in piece.hpq.items() if p >= j)
+    return piece.total() - piece.below(j)
 
 
 def har_dim(data: HodgeData, n: int, j: int) -> int:
@@ -285,12 +280,14 @@ def weight_spectrum(data: HodgeData, w: int) -> SpectralMeasure:
 
 
 def theta_spectrum(data: HodgeData) -> SpectralMeasure:
-    """Full spectrum of the scaling generator: the union over all
-    weights of the per-weight multiplicities, split by weight parity."""
+    """Full spectrum of the scaling generator: the union over the
+    weights present in the data of the per-weight multiplicities, split
+    by weight parity.  An absent weight contributes nothing, so the cost
+    follows the nonzero Hodge data, not ``dim``."""
     even: list = []
     odd: list = []
-    for w in range(0, 2 * data.dim + 1):
-        part = weight_spectrum(data, w)
+    for piece in data.weights:
+        part = weight_spectrum(data, piece.w)
         even.extend(part.even)
         odd.extend(part.odd)
     return SpectralMeasure(tuple(even), tuple(odd))

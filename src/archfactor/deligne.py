@@ -33,10 +33,7 @@ def deligne_dim(data: HodgeData, w: int, r: int) -> int:
     if w + 1 >= 2 * r:
         raise OutOfRegimeError(
             f"dimension formula needs w+1 < 2r, got w={w}, r={r}")
-    piece = data.piece(w)
-    below = 0
-    if piece is not None:
-        below = sum(h for (p, q), h in piece.hpq.items() if p < r)
+    below = data.piece(w).below(r)
     if data.place is Place.COMPLEX:
         return 2 * below - betti(data, w)
     sign = 1 if r % 2 == 0 else -1

@@ -19,7 +19,7 @@ exponent (-1)^(w+1), so even weights contribute inverted factors.
 
 from __future__ import annotations
 
-from .gamma import GammaExpression, gamma_c, gamma_r, identity, multiply, power
+from .gamma import GammaExpression, power, product
 from .hodge import HodgeData, Place, WeightPiece
 
 
@@ -56,8 +56,6 @@ def completed_alternating_product(data: HodgeData) -> GammaExpression:
 
     Absent weights contribute the empty product.
     """
-    out = identity()
-    for piece in data.weights:
-        sign = 1 if piece.w % 2 else -1
-        out = multiply(out, power(serre_factor(piece, data.place), sign))
-    return out
+    return product(
+        power(serre_factor(piece, data.place), 1 if piece.w % 2 else -1)
+        for piece in data.weights)

@@ -21,7 +21,7 @@ constant 1, and the duplication formula picks up a 2:
 
     GR(z) * GR(z+1) = 2 * GC(z).
 
-All structural operations (multiply, power, the canonical form
+All structural operations (multiply, product, power, the canonical form
 :func:`normalize`, divisor of zeros and poles) are exact
 integer/rational arithmetic.  Only :func:`evaluate_log` leaves the
 exact world; it works in the log domain with an explicit sign, so large
@@ -123,22 +123,24 @@ def prefactor(a2=0, b2=0, api=0, bpi=0) -> GammaExpression:
                            api=Fraction(api), bpi=Fraction(bpi))
 
 
-def _merge(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        out[k] = out.get(k, 0) + v
-    return out
+def product(factors) -> GammaExpression:
+    """Formal product of any number of expressions, built in one pass:
+    exponents add, prefactor coefficients add.  The empty product is
+    the identity."""
+    gr, gc, lin = {}, {}, {}
+    a2 = b2 = api = bpi = Fraction(0)
+    for x in factors:
+        for out, table in ((gr, x.gr), (gc, x.gc), (lin, x.lin)):
+            for k, v in table.items():
+                out[k] = out.get(k, 0) + v
+        a2, b2, api, bpi = a2 + x.a2, b2 + x.b2, api + x.api, bpi + x.bpi
+    return GammaExpression(gr=gr, gc=gc, lin=lin,
+                           a2=a2, b2=b2, api=api, bpi=bpi)
 
 
 def multiply(x: GammaExpression, y: GammaExpression) -> GammaExpression:
-    """Formal product; exponents add, prefactor coefficients add."""
-    return GammaExpression(
-        gr=_merge(x.gr, y.gr),
-        gc=_merge(x.gc, y.gc),
-        lin=_merge(x.lin, y.lin),
-        a2=x.a2 + y.a2, b2=x.b2 + y.b2,
-        api=x.api + y.api, bpi=x.bpi + y.bpi,
-    )
+    """Formal product of two expressions."""
+    return product((x, y))
 
 
 def power(x: GammaExpression, k: int) -> GammaExpression:

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class Place(enum.Enum):
@@ -34,7 +36,9 @@ class WeightPiece:
 
     ``hpq`` maps (p, q) with p + q = w to h^{p,q} > 0; zero entries are
     dropped on construction so equal pieces compare equal.  ``middle_split``
-    is only meaningful for even w at a real place.
+    is only meaningful for even w at a real place.  The p indices are
+    kept in ascending order with the running sums of h^{p,q}, so every
+    partial Hodge sum is one lookup (:meth:`below`).
     """
 
     w: int
@@ -48,6 +52,8 @@ class WeightPiece:
             if v:
                 clean[(int(key[0]), int(key[1]))] = v
         object.__setattr__(self, "hpq", clean)
+        object.__setattr__(self, "_ps", [p for p, _ in clean])
+        object.__setattr__(self, "_sums", [0, *accumulate(clean.values())])
         if self.middle_split is not None:
             ms = (int(self.middle_split[0]), int(self.middle_split[1]))
             object.__setattr__(self, "middle_split", ms)
@@ -59,9 +65,13 @@ class WeightPiece:
         p = self.w // 2
         return self.hpq.get((p, p), 0)
 
+    def below(self, r: int) -> int:
+        """sum of h^{p,q} over p < r."""
+        return self._sums[bisect_left(self._ps, r)]
+
     def total(self) -> int:
         """The Betti number of this weight."""
-        return sum(self.hpq.values())
+        return self._sums[-1]
 
 
 @dataclass(frozen=True)
@@ -77,18 +87,20 @@ class HodgeData:
         object.__setattr__(self, "place", Place(self.place))
         object.__setattr__(
             self, "weights", tuple(sorted(self.weights, key=lambda p: p.w)))
-
-    def piece(self, w: int) -> WeightPiece | None:
+        index: dict = {}
         for p in self.weights:
-            if p.w == w:
-                return p
-        return None
+            index.setdefault(p.w, p)  # the first piece of a weight wins
+        object.__setattr__(self, "_index", index)
+
+    def piece(self, w: int) -> WeightPiece:
+        """The piece of weight w; an absent weight reads as the empty
+        piece, whose every Hodge sum is 0 and whose factor is 1."""
+        return self._index.get(w) or WeightPiece(w, {})
 
 
 def betti(data: HodgeData, w: int) -> int:
     """b_w = sum of h^{p,q} over p + q = w; 0 for absent weights."""
-    p = data.piece(w)
-    return p.total() if p is not None else 0
+    return data.piece(w).total()
 
 
 def betti_eigen(data: HodgeData, w: int, sign: int) -> int:
@@ -104,9 +116,7 @@ def betti_eigen(data: HodgeData, w: int, sign: int) -> int:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     piece = data.piece(w)
-    if piece is None:
-        return 0
-    off = sum(h for (p, q), h in piece.hpq.items() if p < q)
+    off = piece.below((w + 1) // 2)
     mid = piece.middle()
     if mid == 0:
         return off
@@ -231,8 +241,6 @@ def direct_sum(a: HodgeData, b: HodgeData) -> HodgeData:
         hpq: dict = {}
         split = None
         for src in (pa, pb):
-            if src is None:
-                continue
             for key, h in src.hpq.items():
                 hpq[key] = hpq.get(key, 0) + h
             if src.middle_split is not None:
@@ -267,6 +275,9 @@ def _expect(value, kind: type, path: str):
         got = (_JSON_NAMES[type(value)] if isinstance(value, (dict, list))
                else repr(value))
         raise ValueError(f"{path}: expected {_JSON_NAMES[kind]}, got {got}")
+    # counts are evaluated in floating point, exact only up to 2^53
+    if kind is int and abs(value) > 2 ** 53:
+        raise ValueError(f"{path}: integer out of range (|n| > 2^53)")
     return value
 
 

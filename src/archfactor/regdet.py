@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclic import Progression, SpectralMeasure
-from .gamma import GammaExpression, identity, multiply, power
+from .gamma import GammaExpression, identity, power, product
 
 # Euler-Maclaurin configuration: explicit terms, then B_2 .. B_12
 # correction terms on the remainder.
@@ -71,13 +71,9 @@ class DeterminantRatio(NamedTuple):
 
 def regdet_measure(measure: SpectralMeasure) -> DeterminantRatio:
     """Determinant of each parity block and the even/odd ratio."""
-    even = identity()
-    for p in measure.even:
-        even = multiply(even, regdet_progression(p))
-    odd = identity()
-    for p in measure.odd:
-        odd = multiply(odd, regdet_progression(p))
-    return DeterminantRatio(even, odd, multiply(even, power(odd, -1)))
+    even = product(map(regdet_progression, measure.even))
+    odd = product(map(regdet_progression, measure.odd))
+    return DeterminantRatio(even, odd, product((even, power(odd, -1))))
 
 
 def hurwitz_zeta_deriv0(x: float, two_pi_over_delta: float) -> float:

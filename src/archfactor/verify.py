@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .cyclic import weight_spectrum
 from .factors import serre_factor
 from .gamma import (SINGULARITY_GUARD, Divisor, GammaExpression, divisor_of,
-                    evaluate_log, identity, multiply, normalize, order_at,
-                    power, render)
+                    evaluate_log, normalize, order_at, power, product,
+                    render)
 from .hodge import HodgeData, Place, validate
 from .regdet import regdet_measure
 
@@ -66,8 +66,9 @@ class SamplePoint:
 class VerificationReport:
     """Outcome of one verification run.
 
-    ``per_weight`` says for each weight whether normalize(LHS_w / RHS_w)
-    is an allowed constant; ``residue`` is their product, LHS / RHS.
+    ``per_weight`` says for each weight present in the input whether
+    normalize(LHS_w / RHS_w) is an allowed constant; ``residue`` is
+    their product, LHS / RHS.
     ``constant_log`` and ``constant_stddev`` are the mean and spread of
     log(LHS) - log(RHS) over the samples, reported, not asserted.
     """
@@ -127,9 +128,12 @@ def verify_theorem(data: HodgeData, samples=None, window=None,
     """Compare the completed factor product against the determinant
     ratio of the scaling spectrum, weight by weight and exactly.
 
-    Each weight's spectrum is built once.  Default sample points sit to
-    the right of every zero and pole; the default window reaches low
-    enough that both tails are certified.
+    Only the weights present in the data are visited, each building its
+    spectrum once: an absent weight is 1 on both sides, so the cost
+    follows the nonzero Hodge data and ``dim`` only sets the divisor
+    window.  Default sample points sit to the right of every zero and
+    pole; the default window reaches low enough that both tails are
+    certified.
     """
     bad = validate(data)
     if bad:
@@ -149,19 +153,16 @@ def verify_theorem(data: HodgeData, samples=None, window=None,
     lo = min(lo, math.floor(min(samples)) - 5, -20)
     hi = max(hi, d + 2)
 
-    lhs = rhs = residue = identity()
+    parts = []
     per_weight = []
-    for w in range(0, 2 * d + 1):
-        piece = data.piece(w)
-        sign = 1 if w % 2 else -1
-        lhs_w = (power(serre_factor(piece, data.place), sign)
-                 if piece is not None else identity())
+    for piece in data.weights:
+        w = piece.w
+        lhs_w = power(serre_factor(piece, data.place), 1 if w % 2 else -1)
         rhs_w = regdet_measure(weight_spectrum(data, w)).ratio
-        residue_w = normalize(multiply(lhs_w, power(rhs_w, -1)))
+        residue_w = normalize(product((lhs_w, power(rhs_w, -1))))
         per_weight.append((w, _is_allowed_constant(residue_w, data.place)))
-        lhs = multiply(lhs, lhs_w)
-        rhs = multiply(rhs, rhs_w)
-        residue = multiply(residue, residue_w)
+        parts.append((lhs_w, rhs_w, residue_w))
+    lhs, rhs, residue = (product(part[k] for part in parts) for k in range(3))
     _check_samples(samples, (lhs, rhs))
 
     divisor_match, witness = compare_divisors(

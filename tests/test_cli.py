@@ -170,6 +170,10 @@ def test_custom_window_and_samples(capsys):
                  '[{"w": 0, "hpq": {"0,0": true}}]}',
                  'weights[0].hpq["0,0"]: expected integer, got True',
                  id="bool_count"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": 1' + "0" * 400 + '}}]}',
+                 'weights[0].hpq["0,0"]: integer out of range (|n| > 2^53)',
+                 id="huge_count"),
 ])
 def test_verify_malformed_document_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "doc.json"

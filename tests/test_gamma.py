@@ -1,12 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from archfactor import (GammaExpression, SingularEvaluationError, divisor_of,
                         evaluate_log, gamma_c, gamma_r, identity, linear,
                         loggamma_signed, multiply, normalize, order_at, power,
-                        prefactor, render)
+                        prefactor, product, render)
 from helpers import nonsingular_points, random_expression
 
 
@@ -116,6 +117,17 @@ def test_order_additivity():
         for m in range(-8, 6):
             assert (order_at(multiply(x, y), m)
                     == order_at(x, m) + order_at(y, m))
+    # the one-pass product agrees with the left fold of multiply
+    for _ in range(50):
+        factors = [multiply(random_expression(rng), prefactor(
+            *(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+              for _ in range(4))))
+            for _ in range(rng.randint(0, 6))]
+        folded = identity()
+        for x in factors:
+            folded = multiply(folded, x)
+        assert product(factors) == folded
+    assert product(()) == identity()
 
 
 def test_singularity_guard():

@@ -36,6 +36,22 @@ def test_preset_shapes():
 
 def test_betti_absent_weight():
     assert betti(preset("P1_C"), 1) == 0
+    piece = preset("P1_C").piece(1)
+    assert piece.w == 1 and piece.hpq == {} and piece.total() == 0
+
+
+def test_weight_piece_prefix_sums_randomized():
+    rng = random.Random(1009)
+    for _ in range(200):
+        w = rng.randint(0, 12)
+        hpq = {(p, w - p): rng.randint(0, 9)
+               for p in rng.sample(range(w + 1), rng.randint(0, w + 1))}
+        piece = WeightPiece(w, hpq)
+        assert piece.total() == sum(hpq.values())
+        ps = [p for p, _ in hpq] or [0]
+        for r in range(min(ps) - 1, max(ps) + 2):
+            assert piece.below(r) == sum(h for (p, _), h in hpq.items()
+                                         if p < r)
 
 
 def test_betti_eigen_point():

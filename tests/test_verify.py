@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import archfactor.cyclic as cyclic_module
 import archfactor.verify as verify_module
 from archfactor import (PRESET_NAMES, HodgeData, Place, SpectralMeasure,
                         WeightPiece, compare_divisors, divisor_of, gamma_c,
@@ -133,6 +134,28 @@ def test_samples_agree_with_exact_constant():
 def test_per_weight_breakdown_present():
     report = verify_theorem(preset("elliptic_R"))
     assert [w for w, _ in report.per_weight] == [0, 1, 2]
+    # only the weights present are listed: an absent one is 1 on both sides
+    report = verify_theorem(preset("P1_C"))
+    assert [w for w, _ in report.per_weight] == [0, 2]
+
+
+def test_spectrum_work_follows_the_data_not_dim(monkeypatch):
+    exact = cyclic_module.har_dim
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(cyclic_module, "har_dim", counted)
+    counts = []
+    for dim in (10, 1000):
+        calls.clear()
+        data = HodgeData("h00", dim, Place.COMPLEX,
+                         (WeightPiece(0, {(0, 0): 1}),))
+        assert verify_theorem(data).ok()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_invalid_data_rejected():
