@@ -4,10 +4,10 @@ For every input the package builds, weight by weight, the local factor
 with its alternating sign (left side) and the ratio of regularized
 determinants of that weight's scaling spectrum, even over odd (right
 side).  The verdict is exact: the canonical form of left over right must
-be a constant, 1 over C and a power of sqrt(2) over R.  The zero/pole
-divisors of the whole products, tails included, and the ratio of the two
-sides evaluated at sample points are reported alongside as independent
-checks.
+be a constant, 1 over C and a power of sqrt(2) over R.  The divisor of
+the product of these residues, read off its canonical form, says where
+a mismatch would show, and the ratio of the two sides evaluated at
+sample points is reported alongside as an independent check.
 """
 
 import math

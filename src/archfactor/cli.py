@@ -77,9 +77,9 @@ def _cmd_factors(args) -> int:
     product = completed_alternating_product(data)
     if args.json:
         _emit({"name": data.name,
-               "weights": {str(w): gamma.to_json_dict(x)
+               "weights": {str(w): gamma.expression_to_json(x)
                            for w, x in per_weight.items()},
-               "product": gamma.to_json_dict(product)})
+               "product": gamma.expression_to_json(product)})
     else:
         for w, x in sorted(per_weight.items()):
             print(f"w={w}: {render(x)}")
@@ -147,16 +147,15 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_regdet(args) -> int:
-    count = args.finite if args.finite is not None else None
-    prog = Progression(args.first, args.step, count, args.mult)
+    prog = Progression(args.first, args.step, args.finite, args.mult)
     expr = regdet_progression(prog)
     doc = {"progression": {"first": args.first, "step": args.step,
-                           "count": count, "multiplicity": args.mult},
-           "determinant": gamma.to_json_dict(expr)}
+                           "count": args.finite, "multiplicity": args.mult},
+           "determinant": gamma.expression_to_json(expr)}
     if args.s is not None:
         log_val, sign = evaluate_log(expr, args.s, args.guard)
         doc["at_s"] = {"s": args.s, "log_abs": log_val, "sign": sign}
-        if count is None and (args.s - args.first) / args.step > 0:
+        if args.finite is None and (args.s - args.first) / args.step > 0:
             x = (args.s - args.first) / args.step
             oracle = args.mult * hurwitz_zeta_deriv0(x, 2.0 * math.pi / args.step)
             doc["oracle_log"] = oracle
@@ -175,13 +174,11 @@ def _cmd_regdet(args) -> int:
 
 def _cmd_verify(args) -> int:
     data = load_input(args.input)
-    report = verify_theorem(data, samples=args.samples, window=args.window,
-                            guard=args.guard)
+    report = verify_theorem(data, samples=args.samples, guard=args.guard)
     if args.json:
         _emit(report.to_json_dict())
     else:
         print(f"input: {data.name} ({data.place.value} place, dim {data.dim})")
-        print(f"window: [{report.window[0]}, {report.window[1]}]")
         print(f"divisor match: {'yes' if report.divisor_match else 'no'}"
               + ("" if report.mismatch_witness is None
                  else f" (first mismatch at m={report.mismatch_witness})"))
@@ -206,6 +203,19 @@ def _cmd_eval(args) -> int:
         print(f"{render(expr)}")
         print(f"at s={args.s}: sign {sign}, log|value| = {log_val:.12g}")
     return EXIT_OK
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: inf, nan and text that is not
+    a number are refused with one message."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,25 +267,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mult", type=int, default=1)
     p.add_argument("--finite", type=int, default=None, metavar="COUNT",
                    help="finite progression with COUNT terms")
-    p.add_argument("--s", type=float, default=None,
+    p.add_argument("--s", type=_finite_float, default=None,
                    help="also evaluate at this point")
-    p.add_argument("--guard", type=float, default=SINGULARITY_GUARD)
+    p.add_argument("--guard", type=_finite_float, default=SINGULARITY_GUARD)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_regdet)
 
     p = sub.add_parser("verify", help="full factorization check")
     p.add_argument("input")
-    p.add_argument("--samples", type=float, nargs="+", default=None)
-    p.add_argument("--window", type=int, nargs=2, default=None,
-                   metavar=("LO", "HI"))
-    p.add_argument("--guard", type=float, default=SINGULARITY_GUARD)
+    p.add_argument("--samples", type=_finite_float, nargs="+", default=None)
+    p.add_argument("--guard", type=_finite_float, default=SINGULARITY_GUARD)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate the completed product")
     p.add_argument("input")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--guard", type=float, default=SINGULARITY_GUARD)
+    p.add_argument("--s", type=_finite_float, required=True)
+    p.add_argument("--guard", type=_finite_float, default=SINGULARITY_GUARD)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_eval)
 

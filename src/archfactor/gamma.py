@@ -172,6 +172,22 @@ def order_at(x: GammaExpression, m: int) -> int:
     return ord_
 
 
+def nearest_divisor_point(x: GammaExpression):
+    """The zero or pole of x nearest to 0, ties to the negative side;
+    None when x has neither.
+
+    With R the largest |root| or |shift|, the order is 0 for m > R and
+    2-periodic for m < -R, so if x has a zero or pole at all, it has
+    one with |m| <= R + 2.
+    """
+    reach = max(map(abs, (*x.lin, *x.gr, *x.gc)), default=0) + 2
+    for k in range(reach + 1):
+        for m in sorted({-k, k}):
+            if order_at(x, m):
+                return m
+    return None
+
+
 @dataclass(frozen=True)
 class Divisor:
     """Zero/pole orders of an expression on an integer window, plus tails.
@@ -351,7 +367,7 @@ def render(x: GammaExpression) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-def to_json_dict(x: GammaExpression) -> dict:
+def expression_to_json(x: GammaExpression) -> dict:
     """JSON-stable dict form; exponent tables keyed by stringified ints."""
     return {
         "gr": {str(a): e for a, e in sorted(x.gr.items())},

@@ -5,10 +5,10 @@ The left side multiplies the classical local factors with alternating
 exponents; the right side regularizes the spectrum of the scaling
 generator block by block.  The verdict is exact and per weight: the
 normal form of LHS_w / RHS_w must be a constant the theorem allows, 1
-over C and a power of sqrt(2) over R.  The divisors of the whole
-products on an integer window, tails included, and log(LHS/RHS) at
-sample points are reported alongside: the first explains a mismatch,
-the second checks the constant in floating point.
+over C and a power of sqrt(2) over R.  Two readings are reported
+alongside: the divisor of the whole residue LHS / RHS, read off its
+normal form, names the point nearest 0 where a mismatch shows, and
+log(LHS/RHS) at sample points checks the constant in floating point.
 """
 
 from __future__ import annotations
@@ -19,39 +19,11 @@ from dataclasses import dataclass
 
 from .cyclic import weight_spectrum
 from .factors import serre_factor
-from .gamma import (SINGULARITY_GUARD, Divisor, GammaExpression, divisor_of,
-                    evaluate_log, normalize, order_at, power, product,
-                    render)
+from .gamma import (SINGULARITY_GUARD, GammaExpression, evaluate_log,
+                    nearest_divisor_point, normalize, order_at, power,
+                    product, render)
 from .hodge import HodgeData, Place, validate
 from .regdet import regdet_measure
-
-
-def compare_divisors(a: Divisor, b: Divisor):
-    """(equal, witness): pointwise equality on the common window plus
-    equality of tail constants.  The witness is the smallest-|m|
-    disagreement point, or None when equal.
-    """
-    if (a.lo, a.hi) != (b.lo, b.hi):
-        raise ValueError("divisors computed on different windows")
-    cover = min(a.tail_from, b.tail_from)
-    if cover < a.lo - 1:
-        raise ValueError(
-            f"window [{a.lo},{a.hi}] too narrow to certify tails "
-            f"(stable only from {cover})")
-    worst = None
-    for m in range(a.lo, a.hi + 1):
-        if a.orders.get(m, 0) != b.orders.get(m, 0):
-            if worst is None or (abs(m), m) < (abs(worst), worst):
-                worst = m
-    if worst is not None:
-        return False, worst
-    if (a.tail_even, a.tail_odd) != (b.tail_even, b.tail_odd):
-        even_bad = a.tail_even != b.tail_even
-        odd_bad = a.tail_odd != b.tail_odd
-        cands = [m for m in (a.lo - 1, a.lo - 2)
-                 if (even_bad if m % 2 == 0 else odd_bad)]
-        return False, min(cands, key=lambda m: (abs(m), m))
-    return True, None
 
 
 @dataclass(frozen=True)
@@ -68,7 +40,9 @@ class VerificationReport:
 
     ``per_weight`` says for each weight present in the input whether
     normalize(LHS_w / RHS_w) is an allowed constant; ``residue`` is
-    their product, LHS / RHS.
+    their product, LHS / RHS.  ``divisor_match`` says whether the
+    residue has neither zeros nor poles; if it has, ``mismatch_witness``
+    is the one nearest 0.
     ``constant_log`` and ``constant_stddev`` are the mean and spread of
     log(LHS) - log(RHS) over the samples, reported, not asserted.
     """
@@ -76,7 +50,6 @@ class VerificationReport:
     name: str
     divisor_match: bool
     mismatch_witness: int | None
-    window: tuple
     per_weight: tuple
     residue: GammaExpression
     constant_log: float
@@ -94,7 +67,6 @@ class VerificationReport:
             "ok": self.ok(),
             "divisor_match": self.divisor_match,
             "mismatch_witness": self.mismatch_witness,
-            "window": list(self.window),
             "per_weight": [[w, match] for w, match in self.per_weight],
             "residue": render(self.residue),
             "constant_log": self.constant_log,
@@ -123,35 +95,26 @@ def _is_allowed_constant(residue: GammaExpression, place: Place) -> bool:
             and (place is Place.REAL or residue.a2 == 0))
 
 
-def verify_theorem(data: HodgeData, samples=None, window=None,
+def verify_theorem(data: HodgeData, samples=None,
                    guard: float = SINGULARITY_GUARD) -> VerificationReport:
     """Compare the completed factor product against the determinant
     ratio of the scaling spectrum, weight by weight and exactly.
 
     Only the weights present in the data are visited, each building its
     spectrum once: an absent weight is 1 on both sides, so the cost
-    follows the nonzero Hodge data and ``dim`` only sets the divisor
-    window.  Default sample points sit to the right of every zero and
-    pole; the default window reaches low enough that both tails are
-    certified.
+    follows the nonzero Hodge data, and ``dim`` only places the default
+    sample points, to the right of every zero and pole.
     """
     bad = validate(data)
     if bad:
         raise ValueError("invalid data: " + "; ".join(bad))
 
-    d = data.dim
     if samples is None:
-        samples = tuple(d + off for off in (0.7, 1.6, 2.5, 3.4))
+        samples = tuple(data.dim + off for off in (0.7, 1.6, 2.5, 3.4))
     else:
         samples = tuple(float(s) for s in samples)
         if not samples:
             raise ValueError("need at least one sample point")
-    if window is None:
-        lo, hi = -30, max(5, d + 2)
-    else:
-        lo, hi = int(window[0]), int(window[1])
-    lo = min(lo, math.floor(min(samples)) - 5, -20)
-    hi = max(hi, d + 2)
 
     parts = []
     per_weight = []
@@ -164,9 +127,7 @@ def verify_theorem(data: HodgeData, samples=None, window=None,
         parts.append((lhs_w, rhs_w, residue_w))
     lhs, rhs, residue = (product(part[k] for part in parts) for k in range(3))
     _check_samples(samples, (lhs, rhs))
-
-    divisor_match, witness = compare_divisors(
-        divisor_of(lhs, (lo, hi)), divisor_of(rhs, (lo, hi)))
+    witness = nearest_divisor_point(residue)
 
     points = []
     diffs = []
@@ -178,9 +139,8 @@ def verify_theorem(data: HodgeData, samples=None, window=None,
 
     return VerificationReport(
         name=data.name,
-        divisor_match=divisor_match,
+        divisor_match=witness is None,
         mismatch_witness=witness,
-        window=(lo, hi),
         per_weight=tuple(per_weight),
         residue=residue,
         constant_log=statistics.fmean(diffs),

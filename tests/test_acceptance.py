@@ -86,7 +86,7 @@ def test_criterion_4_divisor_verification():
         while len(datasets) < 107:
             datasets.append(random_hodge_data(rng, max_dim=2, max_entry=4))
         for data in datasets:
-            report = verify_theorem(data, window=(-30, 5))
+            report = verify_theorem(data)
             assert report.divisor_match, (data.name, report.mismatch_witness)
             assert all(match for _, match in report.per_weight), data.name
             assert len(report.samples) >= 4

@@ -143,14 +143,32 @@ def test_bad_flags_exit_two(capsys):
     capsys.readouterr()
 
 
-def test_custom_window_and_samples(capsys):
+def test_custom_samples(capsys):
     code, out, _ = run(capsys, "verify", "preset:elliptic_R",
-                       "--window", "-24", "4", "--samples", "2.25", "3.75",
-                       "--json")
+                       "--samples", "2.25", "3.75", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["window"][0] <= -24
     assert [p["s"] for p in doc["samples"]] == [2.25, 3.75]
+
+
+# the rejected value comes last, after its flag
+@pytest.mark.parametrize("argv", [
+    ["verify", "preset:P1_C", "--samples", "inf"],
+    ["verify", "preset:P1_C", "--samples", "nan"],
+    ["verify", "preset:P1_C", "--guard", "nan"],
+    ["eval", "preset:P1_C", "--s", "inf"],
+    ["eval", "preset:P1_C", "--s", "nan"],
+    ["eval", "preset:P1_C", "--s", "2.5", "--guard", "inf"],
+    ["regdet", "--first", "0", "--s", "inf"],
+    ["regdet", "--first", "0", "--s", "2.5", "--guard", "inf"],
+], ids=lambda argv: " ".join((argv[0], *argv[-2:])))
+def test_non_finite_float_flag_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    command, flag, value = argv[0], argv[-2], argv[-1]
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"archfactor {command}: error: argument {flag}: "
+        f"expected a finite number, got {value!r}"]
 
 
 @pytest.mark.parametrize("text, message", [

@@ -6,8 +6,8 @@ import pytest
 
 from archfactor import (GammaExpression, SingularEvaluationError, divisor_of,
                         evaluate_log, gamma_c, gamma_r, identity, linear,
-                        loggamma_signed, multiply, normalize, order_at, power,
-                        prefactor, product, render)
+                        loggamma_signed, multiply, nearest_divisor_point,
+                        normalize, order_at, power, prefactor, product, render)
 from helpers import nonsingular_points, random_expression
 
 
@@ -60,6 +60,19 @@ def test_divisor_tail_lookup_and_gap():
     narrow = divisor_of(linear(-8, 2), (-4, 2))
     with pytest.raises(ValueError):
         narrow.order(-6)  # between window and certified tail
+
+
+def test_nearest_divisor_point_matches_scan():
+    # random_expression keeps roots and shifts in [-4, 4], so a scan of
+    # [-40, 40] sees every point the tails can reach
+    rng = random.Random(205)
+    assert nearest_divisor_point(identity()) is None
+    for _ in range(300):
+        x = random_expression(rng, size=rng.randint(0, 5))
+        points = [m for m in range(-40, 41) if order_at(x, m)]
+        expect = min(points, key=lambda m: (abs(m), m), default=None)
+        assert nearest_divisor_point(x) == expect, x
+        assert nearest_divisor_point(normalize(x)) == expect, x
 
 
 def test_order_at_matches_linear_factors():

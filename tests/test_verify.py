@@ -5,11 +5,12 @@ import random
 import pytest
 
 import archfactor.cyclic as cyclic_module
+import archfactor.gamma as gamma_module
 import archfactor.verify as verify_module
 from archfactor import (PRESET_NAMES, HodgeData, Place, SpectralMeasure,
-                        WeightPiece, compare_divisors, divisor_of, gamma_c,
-                        gamma_r, multiply, prefactor, preset, validate,
-                        verify_theorem)
+                        WeightPiece, gamma_c, gamma_r, linear, multiply,
+                        nearest_divisor_point, normalize, power, prefactor,
+                        preset, verify_theorem)
 from helpers import random_hodge_data
 
 
@@ -67,7 +68,7 @@ def test_randomized_roundtrip():
     rng = random.Random(802)
     for _ in range(60):
         data = random_hodge_data(rng)
-        report = verify_theorem(data, window=(-30, 5))
+        report = verify_theorem(data)
         assert report.ok(), (data, report.mismatch_witness)
 
 
@@ -158,6 +159,48 @@ def test_spectrum_work_follows_the_data_not_dim(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_divisor_work_follows_the_data_not_dim(monkeypatch):
+    calls = []
+    for module in (gamma_module, verify_module):
+        exact = module.order_at
+
+        def counted(x, m, exact=exact):
+            calls.append(m)
+            return exact(x, m)
+
+        monkeypatch.setattr(module, "order_at", counted)
+    for pieces in ((), (WeightPiece(0, {(0, 0): 1}),)):
+        counts = []
+        for dim in (10, 10 ** 6):
+            calls.clear()
+            data = HodgeData("sparse", dim, Place.COMPLEX, pieces)
+            assert verify_theorem(data).ok()
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (pieces, counts)
+
+
+@pytest.mark.parametrize("offset", [
+    # right of every eigenvalue: a window [lo, dim + 2] would not see it
+    pytest.param(4, id="right_of_dim"),
+    # far left, where the tails of LHS and RHS are already periodic
+    pytest.param(-42, id="left_of_tails"),
+])
+def test_stray_root_is_witnessed(monkeypatch, offset):
+    exact = verify_module.regdet_measure
+    data = preset("P2_C")
+    root = data.dim + offset
+
+    def shifted(measure):
+        dets = exact(measure)
+        return dets._replace(ratio=multiply(dets.ratio, linear(root)))
+
+    monkeypatch.setattr(verify_module, "regdet_measure", shifted)
+    report = verify_theorem(data)
+    assert report.divisor_match is False
+    assert report.mismatch_witness == root
+    assert report.ok() is False
+
+
 def test_invalid_data_rejected():
     data = HodgeData("bad", 1, Place.REAL, (WeightPiece(2, {(1, 1): 1}),))
     with pytest.raises(ValueError):
@@ -188,32 +231,12 @@ def test_report_json_shape():
     assert {"s", "lhs_log", "rhs_log", "signs_agree"} <= set(doc["samples"][0])
 
 
-def test_compare_divisors_witness():
+@pytest.mark.parametrize("lhs, rhs, witness", [
     # GR(s) vs GC(s): first disagreement at the missing odd pole m = -1
-    window = (-12, 3)
-    equal, witness = compare_divisors(
-        divisor_of(gamma_r(0, 1), window), divisor_of(gamma_c(0, 1), window))
-    assert not equal and witness == -1
-
-
-def test_compare_divisors_tail_witness():
-    # identical on the window (one pole at -6 each), different odd tails
-    window = (-6, 3)
-    a = divisor_of(gamma_r(6, 1), window)   # poles at -6, -8, ...
-    b = divisor_of(gamma_c(6, 1), window)   # poles at every m <= -6
-    equal, witness = compare_divisors(a, b)
-    assert not equal and witness == -7
-
-
-def test_compare_divisors_window_mismatch():
-    a = divisor_of(gamma_r(0, 1), (-10, 2))
-    b = divisor_of(gamma_r(0, 1), (-10, 3))
-    with pytest.raises(ValueError):
-        compare_divisors(a, b)
-
-
-def test_compare_divisors_narrow_window_rejected():
-    # window stops above where the tails become periodic
-    a = divisor_of(gamma_r(8, 1), (-3, 3))
-    with pytest.raises(ValueError):
-        compare_divisors(a, a)
+    pytest.param(gamma_r(0, 1), gamma_c(0, 1), -1, id="odd_pole"),
+    # one pole at -6 each, then the odd poles of GC(s+6) from -7 on
+    pytest.param(gamma_r(6, 1), gamma_c(6, 1), -7, id="odd_tail"),
+])
+def test_residue_witness(lhs, rhs, witness):
+    residue = normalize(multiply(lhs, power(rhs, -1)))
+    assert nearest_divisor_point(residue) == witness
