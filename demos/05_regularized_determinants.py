@@ -14,7 +14,7 @@ nothing about Gamma functions, which makes it an honest cross-check.
 import math
 
 from archfactor import (Progression, evaluate_log, hurwitz_zeta_deriv0,
-                        multiply, normalize, regdet_progression, render)
+                        normalize, product, regdet_progression, render)
 
 print("closed forms:")
 for step in (1, 2):
@@ -38,8 +38,8 @@ print("\nsplitting invariance: one step-1 progression equals its two "
       "step-2 halves,")
 print("because the two 2^(1/2) constants cancel the duplication factor 2:")
 whole = regdet_progression(Progression(0, 1, None, 1))
-halves = multiply(regdet_progression(Progression(0, 2, None, 1)),
-                  regdet_progression(Progression(-1, 2, None, 1)))
+halves = product((regdet_progression(Progression(0, 2, None, 1)),
+                  regdet_progression(Progression(-1, 2, None, 1))))
 print(f"  halves:            {render(halves)}")
 print(f"  whole:             {render(whole)}")
 print(f"  normalize(halves): {render(normalize(halves))}")

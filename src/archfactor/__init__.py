@@ -16,11 +16,10 @@ from .cyclic import (Progression, SpectralMeasure, a_to_e, e_to_a,
                      weight_spectrum)
 from .deligne import OutOfRegimeError, deligne_dim, pole_order
 from .factors import completed_alternating_product, serre_factor
-from .gamma import (Divisor, GammaExpression, SINGULARITY_GUARD,
-                    SingularEvaluationError, divisor_of, evaluate_log,
-                    gamma_c, gamma_r, identity, linear, loggamma_signed,
-                    multiply, nearest_divisor_point, normalize, order_at,
-                    power, prefactor, product, render)
+from .gamma import (GammaExpression, SINGULARITY_GUARD,
+                    SingularEvaluationError, evaluate_log, gamma_c, gamma_r,
+                    identity, linear, loggamma_signed, nearest_divisor_point,
+                    normalize, order_at, power, prefactor, product, render)
 from .hodge import (HodgeData, PRESET_NAMES, Place, WeightPiece, betti,
                     betti_eigen, direct_sum, from_json_dict, preset,
                     to_json_dict, validate)
@@ -30,19 +29,3 @@ from .verify import SamplePoint, VerificationReport, verify_theorem
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Divisor", "DeterminantRatio", "GammaExpression", "HodgeData",
-    "OutOfRegimeError", "PRESET_NAMES", "Place", "Progression",
-    "SINGULARITY_GUARD", "SamplePoint", "SingularEvaluationError",
-    "SpectralMeasure", "VerificationReport", "WeightPiece",
-    "a_to_e", "betti", "betti_eigen", "completed_alternating_product",
-    "deligne_dim", "direct_sum", "divisor_of", "e_to_a", "evaluate_log",
-    "from_json_dict", "gamma_c", "gamma_r", "har_dim",
-    "har_dim_from_sequence", "hc_dim", "hc_dim_complex", "hn_dim", "hp_dim",
-    "hurwitz_zeta_deriv0", "identity", "is_cyclic_pair", "is_pole_pair",
-    "linear", "loggamma_signed", "multiply", "nearest_divisor_point",
-    "normalize", "order_at", "pole_order", "power", "prefactor", "preset", "product", "regdet_measure",
-    "regdet_progression", "render", "same_spectrum", "serre_factor",
-    "theta_spectrum", "to_json_dict", "validate", "verify_theorem",
-    "weight_spectrum",
-]

@@ -2,7 +2,8 @@
 
 Inputs are JSON documents describing Hodge-numeric data, or the pseudo
 path ``preset:NAME`` for one of the built-in geometries.  Exit codes:
-0 success, 1 verification mismatch, 2 malformed input or flags.
+0 success, 1 verification mismatch, 2 malformed input or flags, 3
+internal error (any other exception, reported on one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .verify import verify_theorem
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 3
+
+#: Most rows ``poles``, ``spectrum --depth`` or ``regdet --finite`` may take.
+MAX_ROWS = 100_000
 
 
 class InputError(Exception):
@@ -102,6 +107,8 @@ def _cmd_poles(args) -> int:
     lo, hi = args.m_from, args.m_to
     if lo > hi:
         raise InputError(f"--from {lo} exceeds --to {hi}")
+    if hi - lo >= MAX_ROWS:
+        raise InputError(f"--from {lo} --to {hi}: more than {MAX_ROWS} rows")
     table = {m: pole_order(data, args.w, m) for m in range(lo, hi + 1)}
     if args.json:
         _emit({"name": data.name, "w": args.w,
@@ -205,17 +212,25 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of every float flag: inf, nan and text that is not
-    a number are refused with one message."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {text!r}")
-    return value
+def _checked(kind, accept, expected: str):
+    """An argparse type: text that ``kind`` cannot read, or whose value
+    ``accept`` refuses, is rejected with one message."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+# every float flag, and the flags that set the size of the output
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_row_count = _checked(int, lambda n: 0 <= n <= MAX_ROWS,
+                      f"an integer from 0 to {MAX_ROWS}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--weight", type=int, default=None,
                    help="restrict to a single weight")
-    p.add_argument("--depth", type=int, default=20,
+    p.add_argument("--depth", type=_row_count, default=20,
                    help="head rows to print (default 20)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_spectrum)
@@ -265,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--first", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--mult", type=int, default=1)
-    p.add_argument("--finite", type=int, default=None, metavar="COUNT",
+    p.add_argument("--finite", type=_row_count, default=None, metavar="COUNT",
                    help="finite progression with COUNT terms")
     p.add_argument("--s", type=_finite_float, default=None,
                    help="also evaluate at this point")
@@ -302,6 +317,10 @@ def main(argv=None) -> int:
     except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -257,23 +257,14 @@ def weight_spectrum(data: HodgeData, w: int) -> SpectralMeasure:
     """
     if not 0 <= w <= 2 * data.dim:
         raise ValueError(f"weight {w} outside [0, {2*data.dim}]")
+    heads = [(m, 1, 1) for m in range(w // 2, -3, -1)]
+    tails = ([(-3, 1, None)] if data.place is Place.COMPLEX
+             else [(-3, 2, None), (-4, 2, None)])
     progs = []
-    for m in range(w // 2, -3, -1):
-        n, j = a_to_e(w, m, data.dim)
-        mult = har_dim(data, n, j)
+    for first, step, count in heads + tails:
+        mult = har_dim(data, *a_to_e(w, first, data.dim))
         if mult:
-            progs.append(Progression(m, 1, 1, mult))
-    if data.place is Place.COMPLEX:
-        n, j = a_to_e(w, -3, data.dim)
-        mult = har_dim(data, n, j)
-        if mult:
-            progs.append(Progression(-3, 1, None, mult))
-    else:
-        for start in (-3, -4):
-            n, j = a_to_e(w, start, data.dim)
-            mult = har_dim(data, n, j)
-            if mult:
-                progs.append(Progression(start, 2, None, mult))
+            progs.append(Progression(first, step, count, mult))
     if w % 2:
         return SpectralMeasure((), tuple(progs))
     return SpectralMeasure(tuple(progs), ())

@@ -44,10 +44,8 @@ def serre_factor(piece: WeightPiece, place: Place) -> GammaExpression:
                     f"for nonzero middle Hodge number")
             h_plus, h_minus = piece.middle_split
             p = piece.w // 2
-            if h_plus:
-                gr[-p] = gr.get(-p, 0) + h_plus
-            if h_minus:
-                gr[-p + 1] = gr.get(-p + 1, 0) + h_minus
+            gr[-p] = gr.get(-p, 0) + h_plus
+            gr[-p + 1] = gr.get(-p + 1, 0) + h_minus
     return GammaExpression(gr=gr, gc=gc)
 
 

@@ -21,8 +21,9 @@ constant 1, and the duplication formula picks up a 2:
 
     GR(z) * GR(z+1) = 2 * GC(z).
 
-All structural operations (multiply, product, power, the canonical form
-:func:`normalize`, divisor of zeros and poles) are exact
+All structural operations (:func:`product`, :func:`power`, the
+canonical form :func:`normalize`, and the zero and pole orders
+:func:`order_at` and :func:`nearest_divisor_point`) are exact
 integer/rational arithmetic.  Only :func:`evaluate_log` leaves the
 exact world; it works in the log domain with an explicit sign, so large
 exponents never overflow.
@@ -87,12 +88,6 @@ class GammaExpression:
         return not (self.gr or self.gc or self.lin
                     or self.a2 or self.b2 or self.api or self.bpi)
 
-    def __mul__(self, other: "GammaExpression") -> "GammaExpression":
-        return multiply(self, other)
-
-    def __pow__(self, k: int) -> "GammaExpression":
-        return power(self, k)
-
     def __str__(self) -> str:
         return render(self)
 
@@ -138,11 +133,6 @@ def product(factors) -> GammaExpression:
                            a2=a2, b2=b2, api=api, bpi=bpi)
 
 
-def multiply(x: GammaExpression, y: GammaExpression) -> GammaExpression:
-    """Formal product of two expressions."""
-    return product((x, y))
-
-
 def power(x: GammaExpression, k: int) -> GammaExpression:
     """x^k for any integer k (k = 0 gives the identity, k < 0 inverts)."""
     k = int(k)
@@ -186,69 +176,6 @@ def nearest_divisor_point(x: GammaExpression):
             if order_at(x, m):
                 return m
     return None
-
-
-@dataclass(frozen=True)
-class Divisor:
-    """Zero/pole orders of an expression on an integer window, plus tails.
-
-    ``orders`` holds the nonzero orders for lo <= m <= hi.  Far to the
-    left every expression becomes eventually 2-periodic: for all
-    m <= tail_from the order equals ``tail_even`` at even m and
-    ``tail_odd`` at odd m.
-    """
-
-    orders: dict
-    lo: int
-    hi: int
-    tail_even: int
-    tail_odd: int
-    tail_from: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "orders", _clean(self.orders))
-
-    def order(self, m: int) -> int:
-        if self.lo <= m <= self.hi:
-            return self.orders.get(m, 0)
-        if m <= self.tail_from:
-            return self.tail_even if m % 2 == 0 else self.tail_odd
-        raise ValueError(f"order at m={m} not certified by this divisor "
-                         f"(window [{self.lo},{self.hi}], tail from {self.tail_from})")
-
-    def support(self) -> list:
-        return sorted(self.orders)
-
-
-def divisor_of(x: GammaExpression, window) -> Divisor:
-    """Divisor of x on the closed integer window (lo, hi), with tails.
-
-    The tail constants are exact: for m far to the left, every GC factor
-    contributes at every integer and every GR factor contributes only on
-    its own parity class (m = -a, -a-2, ...), so the order stabilizes to
-    a 2-periodic function.
-    """
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError(f"empty window [{lo},{hi}]")
-    orders = {}
-    for m in range(lo, hi + 1):
-        o = order_at(x, m)
-        if o:
-            orders[m] = o
-    gc_total = sum(x.gc.values())
-    gr_even = sum(e for a, e in x.gr.items() if a % 2 == 0)
-    gr_odd = sum(e for a, e in x.gr.items() if a % 2 != 0)
-    bounds = [0]
-    bounds += [-a for a in x.gr]
-    bounds += [-a for a in x.gc]
-    bounds += [m - 1 for m in x.lin]
-    return Divisor(
-        orders=orders, lo=lo, hi=hi,
-        tail_even=-gc_total - gr_even,
-        tail_odd=-gc_total - gr_odd,
-        tail_from=min(bounds),
-    )
 
 
 def normalize(x: GammaExpression) -> GammaExpression:

@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
-from archfactor import PRESET_NAMES, preset, to_json_dict
+import archfactor.cli as cli_module
+import archfactor.verify as verify_module
+from archfactor import PRESET_NAMES, preset, to_json_dict, verify_theorem
 from archfactor.cli import main
 
 
@@ -149,6 +152,74 @@ def test_custom_samples(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [p["s"] for p in doc["samples"]] == [2.25, 3.75]
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+def test_sample_on_pole_exit_two(capsys):
+    code, out, err = run(capsys, "verify", "preset:P1_C",
+                         "--samples", "0", "2.5")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: GC(s-1) singular near s=0.0"]
+
+
+def test_negative_depth_exit_two(capsys):
+    code, out, err = run(capsys, "spectrum", "preset:P1_R", "--depth", "-5")
+    assert code == 2 and out == ""
+    [line] = error_lines(err)
+    assert "--depth" in line
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["poles", "preset:P1_C", "--w", "0",
+      "--from", "-1000000000", "--to", "0"], "--from"),
+    (["regdet", "--first", "0", "--finite", "100000000", "--s", "0.5"],
+     "--finite"),
+], ids=["poles_range", "regdet_finite"])
+def test_output_size_is_capped(capsys, argv, flag):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    [line] = error_lines(err)
+    assert flag in line and str(cli_module.MAX_ROWS) in line
+
+
+def test_sign_bug_exits_three(monkeypatch, capsys):
+    # an allowed constant is positive: differing signs at a sample are a
+    # bug of the float evaluation, neither a mismatch nor bad input
+    exact = verify_module.evaluate_log
+    calls = []
+
+    def rhs_sign_flipped(x, s, guard):
+        calls.append(s)
+        log_abs, sign = exact(x, s, guard)
+        # verify evaluates the LHS, then the RHS, at each sample
+        return log_abs, (-sign if len(calls) % 2 == 0 else sign)
+
+    monkeypatch.setattr(verify_module, "evaluate_log", rhs_sign_flipped)
+    with pytest.raises(Exception) as info:
+        verify_theorem(preset("P1_R"))
+    assert not isinstance(info.value, ValueError)
+    assert f"s={calls[0]}" in str(info.value)
+    calls.clear()
+    code, out, err = run(capsys, "verify", "preset:P1_R")
+    assert code == 3 and out == ""
+    [line] = error_lines(err)
+    assert line.startswith("error: internal error: RuntimeError: ")
+    assert f"s={calls[0]}" in line
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_module, "verify_theorem", broken)
+    code, out, err = run(capsys, "verify", "preset:P1_R")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: internal error: RuntimeError: boom"]
 
 
 # the rejected value comes last, after its flag

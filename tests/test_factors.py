@@ -3,8 +3,8 @@ import random
 import pytest
 
 from archfactor import (Place, WeightPiece, betti, completed_alternating_product,
-                        direct_sum, divisor_of, gamma_c, gamma_r, identity,
-                        multiply, order_at, pole_order, preset, serre_factor)
+                        direct_sum, gamma_c, gamma_r, identity, order_at,
+                        pole_order, preset, product, serre_factor)
 from helpers import random_hodge_data
 
 
@@ -94,8 +94,8 @@ def test_alternating_product_is_multiplicative():
         a = random_hodge_data(rng, place=place)
         b = random_hodge_data(rng, place=place)
         lhs = completed_alternating_product(direct_sum(a, b))
-        rhs = multiply(completed_alternating_product(a),
-                       completed_alternating_product(b))
+        rhs = product((completed_alternating_product(a),
+                       completed_alternating_product(b)))
         assert lhs == rhs
 
 

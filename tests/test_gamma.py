@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from archfactor import (GammaExpression, SingularEvaluationError, divisor_of,
+from archfactor import (GammaExpression, SingularEvaluationError,
                         evaluate_log, gamma_c, gamma_r, identity, linear,
-                        loggamma_signed, multiply, nearest_divisor_point,
-                        normalize, order_at, power, prefactor, product, render)
+                        loggamma_signed, nearest_divisor_point, normalize,
+                        order_at, power, prefactor, product, render)
 from helpers import nonsingular_points, random_expression
 
 
@@ -25,41 +25,46 @@ def test_identity_is_empty():
 
 
 def test_multiply_merges_and_cancels():
-    x = multiply(gamma_r(0, 2), gamma_r(0, -2))
+    x = product((gamma_r(0, 2), gamma_r(0, -2)))
     assert x.is_identity()
-    y = multiply(gamma_c(-1, 1), gamma_c(-1, 3))
+    y = product((gamma_c(-1, 1), gamma_c(-1, 3)))
     assert y.gc == {-1: 4}
 
 
 def test_power_zero_and_negative():
-    x = multiply(gamma_r(1, 2), linear(-3, 1))
+    x = product((gamma_r(1, 2), linear(-3, 1)))
     assert power(x, 0).is_identity()
     inv = power(x, -1)
     assert inv.gr == {1: -2} and inv.lin == {-3: -1}
     assert power(power(x, -2), -1) == power(x, 2)
 
 
+def orders(x, lo, hi):
+    """The nonzero orders of x on the closed integer window [lo, hi]."""
+    return {m: order_at(x, m) for m in range(lo, hi + 1) if order_at(x, m)}
+
+
 def test_gamma_r_divisor():
-    div = divisor_of(gamma_r(0, 1), (-4, 2))
-    assert div.orders == {0: -1, -2: -1, -4: -1}
-    assert div.tail_even == -1 and div.tail_odd == 0
-    assert div.tail_from == 0
+    x = gamma_r(0, 1)
+    assert orders(x, -4, 2) == {0: -1, -2: -1, -4: -1}
+    # left of 0 the order is -1 at even and 0 at odd m
+    assert orders(x, -40, 0) == {m: -1 for m in range(-40, 1, 2)}
 
 
 def test_gamma_c_shifted_divisor():
     # GC(s-1) blows up at every integer s <= 1
-    div = divisor_of(gamma_c(-1, 1), (-2, 3))
-    assert div.orders == {1: -1, 0: -1, -1: -1, -2: -1}
-    assert div.tail_even == -1 and div.tail_odd == -1
+    x = gamma_c(-1, 1)
+    assert orders(x, -2, 3) == {1: -1, 0: -1, -1: -1, -2: -1}
+    assert orders(x, -40, 3) == {m: -1 for m in range(-40, 2)}
 
 
 def test_divisor_tail_lookup_and_gap():
-    div = divisor_of(gamma_r(0, 1), (-4, 2))
-    assert div.order(-100) == -1
-    assert div.order(-99) == 0
-    narrow = divisor_of(linear(-8, 2), (-4, 2))
-    with pytest.raises(ValueError):
-        narrow.order(-6)  # between window and certified tail
+    assert order_at(gamma_r(0, 1), -100) == -1
+    assert order_at(gamma_r(0, 1), -99) == 0
+    # every point is exact, also between a root and the tails
+    x = linear(-8, 2)
+    assert orders(x, -12, 2) == {-8: 2}
+    assert order_at(x, -6) == 0
 
 
 def test_nearest_divisor_point_matches_scan():
@@ -76,7 +81,7 @@ def test_nearest_divisor_point_matches_scan():
 
 
 def test_order_at_matches_linear_factors():
-    x = multiply(linear(2, 3), gamma_c(0, -1))
+    x = product((linear(2, 3), gamma_c(0, -1)))
     assert order_at(x, 2) == 3
     assert order_at(x, 0) == 1  # zero of GC^-1
     assert order_at(x, 1) == 0
@@ -110,7 +115,7 @@ def test_evaluate_log_homomorphism():
     for _ in range(25):
         x = random_expression(rng)
         y = random_expression(rng)
-        xy = multiply(x, y)
+        xy = product((x, y))
         for s in nonsingular_points(rng, xy, 2):
             try:
                 lx, sx = evaluate_log(x, s, guard=1e-6)
@@ -128,17 +133,17 @@ def test_order_additivity():
         x = random_expression(rng)
         y = random_expression(rng)
         for m in range(-8, 6):
-            assert (order_at(multiply(x, y), m)
+            assert (order_at(product((x, y)), m)
                     == order_at(x, m) + order_at(y, m))
-    # the one-pass product agrees with the left fold of multiply
+    # the one-pass product agrees with the left fold of two-factor products
     for _ in range(50):
-        factors = [multiply(random_expression(rng), prefactor(
+        factors = [product((random_expression(rng), prefactor(
             *(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-              for _ in range(4))))
+              for _ in range(4)))))
             for _ in range(rng.randint(0, 6))]
         folded = identity()
         for x in factors:
-            folded = multiply(folded, x)
+            folded = product((folded, x))
         assert product(factors) == folded
     assert product(()) == identity()
 
@@ -159,9 +164,9 @@ def test_singularity_guard():
 
 def test_duplication_pairs_into_gc():
     # GR(s) GR(s+1) = 2 GC(s); normalize must book the 2
-    x = multiply(gamma_r(0, 1), gamma_r(1, 1))
+    x = product((gamma_r(0, 1), gamma_r(1, 1)))
     n = normalize(x)
-    assert n == normalize(multiply(prefactor(a2=1), gamma_c(0, 1)))
+    assert n == normalize(product((prefactor(a2=1), gamma_c(0, 1))))
     for s in (0.3, 1.7, 2.5):
         assert logs_agree(x, n, s, tol=1e-12)
         val, sign = evaluate_log(x, s)
@@ -179,7 +184,7 @@ def test_duplication_chain_lowest_first():
 
 def test_linear_absorption_raises_shift():
     # ((s-1)/2pi) * GC(s-1) = GC(s)
-    x = multiply(linear(1, 1), gamma_c(-1, 1))
+    x = product((linear(1, 1), gamma_c(-1, 1)))
     n = normalize(x)
     assert n == normalize(gamma_c(0, 1))
     for s in (0.3, 1.7, 2.5):
@@ -200,7 +205,7 @@ def test_normalize_preserves_value_randomized():
     for _ in range(30):
         x = random_expression(rng, size=4)
         n = normalize(x)
-        pts = nonsingular_points(rng, multiply(x, n), 10)
+        pts = nonsingular_points(rng, product((x, n)), 10)
         for s in pts:
             assert logs_agree(x, n, s, tol=1e-11)
 
@@ -227,7 +232,7 @@ def _value_preserving_rewrite(rng, x):
         one = gamma_r(a + 2)
         other = GammaExpression(gr={a: 1}, lin={-a: 1})
     t = rng.choice([-2, -1, 1, 2])
-    return multiply(x, power(multiply(one, power(other, -1)), t))
+    return product((x, power(product((one, power(other, -1))), t)))
 
 
 def test_normalize_is_canonical_under_rewrites():
@@ -238,7 +243,7 @@ def test_normalize_is_canonical_under_rewrites():
         for _ in range(rng.randint(1, 6)):
             y = _value_preserving_rewrite(rng, y)
         assert normalize(y) == normalize(x), (x, y)
-        for s in nonsingular_points(rng, multiply(x, y), 2):
+        for s in nonsingular_points(rng, product((x, y)), 2):
             assert logs_agree(x, y, s, tol=1e-10)
 
 

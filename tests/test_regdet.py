@@ -4,8 +4,8 @@ import random
 import pytest
 
 from archfactor import (GammaExpression, Progression, SpectralMeasure,
-                        divisor_of, evaluate_log, gamma_c, gamma_r, identity,
-                        hurwitz_zeta_deriv0, multiply, normalize, order_at,
+                        evaluate_log, gamma_c, gamma_r, identity,
+                        hurwitz_zeta_deriv0, normalize, order_at, product,
                         regdet_measure, regdet_progression)
 from fractions import Fraction
 
@@ -99,18 +99,18 @@ def test_splitting_invariance_exact_form():
     for m0 in (-2, 0, 3):
         for mult in (1, 2):
             whole = regdet_progression(Progression(m0, 1, None, mult))
-            halves = multiply(
+            halves = product((
                 regdet_progression(Progression(m0, 2, None, mult)),
-                regdet_progression(Progression(m0 - 1, 2, None, mult)))
+                regdet_progression(Progression(m0 - 1, 2, None, mult))))
             assert normalize(halves) == normalize(whole)
 
 
 def test_splitting_invariance_numeric():
     for m0 in (-2, 0, 3):
         whole = regdet_progression(Progression(m0, 1, None, 1))
-        halves = multiply(
+        halves = product((
             regdet_progression(Progression(m0, 2, None, 1)),
-            regdet_progression(Progression(m0 - 1, 2, None, 1)))
+            regdet_progression(Progression(m0 - 1, 2, None, 1))))
         for off in (0.6, 1.9, 3.3):
             s = m0 + off
             lw, sw = evaluate_log(whole, s)
@@ -141,7 +141,7 @@ def test_measure_determinant_multiplicative():
         whole = regdet_measure(SpectralMeasure(progs, ()))
         split = identity()
         for p in progs:
-            split = multiply(split, regdet_progression(p))
+            split = product((split, regdet_progression(p)))
         assert whole.even == split
 
 
