@@ -74,15 +74,11 @@ def hc_dim_complex(data: HodgeData, n: int, j: int) -> int:
     """Complex dimension of degree-n, weight-j cyclic homology of the
     theory over C: sum_{p <= j, p+q = 2j-n} h^{p,q}.
 
-    Vanishes whenever 2j - n falls outside [0, 2d] or an index is
-    negative, so no membership precondition is needed.
+    Vanishes outside E_d, so no membership precondition is needed.
     """
-    if n < 0 or j < 0:
+    if not is_cyclic_pair(n, j, data.dim):
         return 0
-    w = 2 * j - n
-    if not 0 <= w <= 2 * data.dim:
-        return 0
-    return data.piece(w).below(j + 1)
+    return data.piece(2 * j - n).below(j + 1)
 
 
 def hc_dim(data: HodgeData, n: int, j: int) -> int:
@@ -103,12 +99,9 @@ def hp_dim(data: HodgeData, n: int, j: int) -> int:
 def hn_dim(data: HodgeData, n: int, j: int) -> int:
     """Complex dimension of negative cyclic homology:
     sum_{p >= j, p+q = 2j-n} h^{p,q}."""
-    if n < 0 or j < 0:
+    if not is_cyclic_pair(n, j, data.dim):
         return 0
-    w = 2 * j - n
-    if not 0 <= w <= 2 * data.dim:
-        return 0
-    piece = data.piece(w)
+    piece = data.piece(2 * j - n)
     return piece.total() - piece.below(j)
 
 

@@ -19,23 +19,24 @@ exponent (-1)^(w+1), so even weights contribute inverted factors.
 
 from __future__ import annotations
 
-from .gamma import GammaExpression, power, product
+from .gamma import GammaExpression, Tables, product
 from .hodge import HodgeData, Place, WeightPiece
 
 
-def serre_factor(piece: WeightPiece, place: Place) -> GammaExpression:
-    """Local factor of one weight piece at the given place."""
+def serre_tables(piece: WeightPiece, place: Place, k: int = 1) -> Tables:
+    """Exponent tables of the local factor of one weight piece at the
+    given place, raised to k."""
     place = Place(place)
-    gr: dict = {}
-    gc: dict = {}
+    out = Tables()
+    gr, gc = out.gr, out.gc
     if place is Place.COMPLEX:
         for (p, q), h in piece.hpq.items():
             a = -min(p, q)
-            gc[a] = gc.get(a, 0) + h
+            gc[a] = gc.get(a, 0) + k * h
     else:
         for (p, q), h in piece.hpq.items():
             if p < q:
-                gc[-p] = gc.get(-p, 0) + h
+                gc[-p] = gc.get(-p, 0) + k * h
         mid = piece.middle()
         if mid:
             if piece.middle_split is None:
@@ -44,9 +45,14 @@ def serre_factor(piece: WeightPiece, place: Place) -> GammaExpression:
                     f"for nonzero middle Hodge number")
             h_plus, h_minus = piece.middle_split
             p = piece.w // 2
-            gr[-p] = gr.get(-p, 0) + h_plus
-            gr[-p + 1] = gr.get(-p + 1, 0) + h_minus
-    return GammaExpression(gr=gr, gc=gc)
+            gr[-p] = gr.get(-p, 0) + k * h_plus
+            gr[-p + 1] = gr.get(-p + 1, 0) + k * h_minus
+    return out
+
+
+def serre_factor(piece: WeightPiece, place: Place) -> GammaExpression:
+    """Local factor of one weight piece at the given place."""
+    return serre_tables(piece, place).expression()
 
 
 def completed_alternating_product(data: HodgeData) -> GammaExpression:
@@ -54,6 +60,5 @@ def completed_alternating_product(data: HodgeData) -> GammaExpression:
 
     Absent weights contribute the empty product.
     """
-    return product(
-        power(serre_factor(piece, data.place), 1 if piece.w % 2 else -1)
-        for piece in data.weights)
+    return product(serre_tables(piece, data.place, 1 if piece.w % 2 else -1)
+                   for piece in data.weights)

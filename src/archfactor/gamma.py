@@ -24,9 +24,9 @@ constant 1, and the duplication formula picks up a 2:
 All structural operations (:func:`product`, :func:`power`, the
 canonical form :func:`normalize`, and the zero and pole orders
 :func:`order_at` and :func:`nearest_divisor_point`) are exact
-integer/rational arithmetic.  Only :func:`evaluate_log` leaves the
-exact world; it works in the log domain with an explicit sign, so large
-exponents never overflow.
+integer/rational arithmetic, summed in exponent :class:`Tables`.  Only
+:func:`evaluate_log` leaves the exact world; it works in the log domain
+with an explicit sign, so large exponents never overflow.
 """
 
 from __future__ import annotations
@@ -78,9 +78,8 @@ class GammaExpression:
     bpi: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "gr", _clean(self.gr))
-        object.__setattr__(self, "gc", _clean(self.gc))
-        object.__setattr__(self, "lin", _clean(self.lin))
+        for name in ("gr", "gc", "lin"):
+            object.__setattr__(self, name, _clean(getattr(self, name)))
         for name in ("a2", "b2", "api", "bpi"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
@@ -114,34 +113,50 @@ def linear(m: int, exponent: int = 1) -> GammaExpression:
 
 def prefactor(a2=0, b2=0, api=0, bpi=0) -> GammaExpression:
     """The bare constant 2^(a2+b2*s) * pi^(api+bpi*s)."""
-    return GammaExpression(a2=Fraction(a2), b2=Fraction(b2),
-                           api=Fraction(api), bpi=Fraction(bpi))
+    return GammaExpression(a2=a2, b2=b2, api=api, bpi=bpi)
+
+
+@dataclass
+class Tables:
+    """The fields of a :class:`GammaExpression`, mutable and uncleaned:
+    a product costs one dict update per term and one cleaning at the end."""
+
+    gr: dict = field(default_factory=dict)
+    gc: dict = field(default_factory=dict)
+    lin: dict = field(default_factory=dict)
+    a2: Fraction = Fraction(0)
+    b2: Fraction = Fraction(0)
+    api: Fraction = Fraction(0)
+    bpi: Fraction = Fraction(0)
+
+    def add(self, x, k: int = 1) -> "Tables":
+        """Multiply x^k in, for x a Tables or a GammaExpression."""
+        for out, table in ((self.gr, x.gr), (self.gc, x.gc),
+                           (self.lin, x.lin)):
+            for key, e in table.items():
+                out[key] = out.get(key, 0) + k * e
+        for name in ("a2", "b2", "api", "bpi"):
+            if c := getattr(x, name):
+                setattr(self, name, getattr(self, name) + k * c)
+        return self
+
+    def expression(self) -> GammaExpression:
+        return GammaExpression(**vars(self))
 
 
 def product(factors) -> GammaExpression:
     """Formal product of any number of expressions, built in one pass:
     exponents add, prefactor coefficients add.  The empty product is
     the identity."""
-    gr, gc, lin = {}, {}, {}
-    a2 = b2 = api = bpi = Fraction(0)
+    out = Tables()
     for x in factors:
-        for out, table in ((gr, x.gr), (gc, x.gc), (lin, x.lin)):
-            for k, v in table.items():
-                out[k] = out.get(k, 0) + v
-        a2, b2, api, bpi = a2 + x.a2, b2 + x.b2, api + x.api, bpi + x.bpi
-    return GammaExpression(gr=gr, gc=gc, lin=lin,
-                           a2=a2, b2=b2, api=api, bpi=bpi)
+        out.add(x)
+    return out.expression()
 
 
 def power(x: GammaExpression, k: int) -> GammaExpression:
     """x^k for any integer k (k = 0 gives the identity, k < 0 inverts)."""
-    k = int(k)
-    return GammaExpression(
-        gr={a: e * k for a, e in x.gr.items()},
-        gc={a: e * k for a, e in x.gc.items()},
-        lin={m: e * k for m, e in x.lin.items()},
-        a2=x.a2 * k, b2=x.b2 * k, api=x.api * k, bpi=x.bpi * k,
-    )
+    return Tables().add(x, int(k)).expression()
 
 
 def order_at(x: GammaExpression, m: int) -> int:
@@ -178,8 +193,9 @@ def nearest_divisor_point(x: GammaExpression):
     return None
 
 
-def normalize(x: GammaExpression) -> GammaExpression:
-    """The canonical form GR(s)^u * GR(s+1)^v * linear factors * prefactor.
+def normal_tables(x) -> Tables:
+    """The tables of the canonical form GR(s)^u * GR(s+1)^v * linear
+    factors * prefactor of x, a Tables or a GammaExpression.
 
     Duplication, GC(z) = 2^(-1) GR(z) GR(z+1), removes every GC; the
     step-2 shift, GR(z+2) = (z/2pi) GR(z), moves GR(s+a) to
@@ -190,23 +206,28 @@ def normalize(x: GammaExpression) -> GammaExpression:
     value fixes the prefactor.
     """
     shifts = dict(x.gr)
-    a2 = x.a2
     for a, e in x.gc.items():
         shifts[a] = shifts.get(a, 0) + e
         shifts[a + 1] = shifts.get(a + 1, 0) + e
-        a2 -= e
     gr: dict = {}
     lin = dict(x.lin)
-    for a, e in shifts.items():
-        r = a % 2
-        gr[r] = gr.get(r, 0) + e
-        # GR(s+a) = GR(s+r) * prod ((s+b)/2pi)^sign, with b running by 2
-        # from min(a, r) up to, not including, max(a, r)
-        sign = 1 if a > r else -1
-        for b in range(min(a, r), max(a, r), 2):
-            lin[-b] = lin.get(-b, 0) + sign * e
-    return GammaExpression(gr=gr, lin=lin,
-                           a2=a2, b2=x.b2, api=x.api, bpi=x.bpi)
+    for r in (0, 1):
+        group = {a: e for a, e in shifts.items() if e and a % 2 == r}
+        gr[r] = total = sum(group.values())
+        # GR(s+a) = GR(s+r) * prod_b ((s+b)/2pi)^(+1 if r <= b < a, -1 if
+        # a <= b < r), b = r mod 2; summed: [b >= r] total - sum_{a <= b}
+        below = 0
+        for b in range(min((r, *group)), max((r, *group)), 2):
+            below += group.get(b, 0)
+            if e := (total if b >= r else 0) - below:
+                lin[-b] = lin.get(-b, 0) + e
+    a2 = x.a2 - sum(x.gc.values())
+    return Tables(gr, {}, lin, a2, x.b2, x.api, x.bpi)
+
+
+def normalize(x: GammaExpression) -> GammaExpression:
+    """The canonical form of x; see :func:`normal_tables`."""
+    return normal_tables(x).expression()
 
 
 def loggamma_signed(z: float):

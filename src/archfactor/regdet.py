@@ -15,7 +15,7 @@ zeta_H'(0, x) = log Gamma(x) - (1/2) log(2*pi) gives the closed forms
     step 2:  det = 2^(mu/2) * GR(s - m0)^(-mu).
 
 Finite progressions are plain products of the factors (s - m)/(2*pi).
-The closed forms are returned as exact :class:`GammaExpression` values;
+The closed forms are added into exact :class:`Tables` of exponents;
 :func:`hurwitz_zeta_deriv0` evaluates -zeta_block'(0) for mu = 1 by
 direct Euler-Maclaurin summation, with no Gamma function anywhere, and
 serves as the independent numerical oracle for all of the above.
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclic import Progression, SpectralMeasure
-from .gamma import GammaExpression, identity, power, product
+from .gamma import GammaExpression, Tables
 
 # Euler-Maclaurin configuration: explicit terms, then B_2 .. B_12
 # correction terms on the remainder.
@@ -43,22 +43,36 @@ _B_EVEN = (
 )
 
 
+def add_block_determinants(out: Tables, progressions, k: int = 1) -> Tables:
+    """Multiply the k-th power of each progression's block determinant
+    into ``out``, in closed form."""
+    for p in progressions:
+        mu = k * p.multiplicity
+        if mu == 0 or p.count == 0:
+            continue
+        if p.count is not None:
+            for m in range(p.first, p.first - p.count * p.step, -p.step):
+                out.lin[m] = out.lin.get(m, 0) + mu
+        elif p.step == 1:
+            out.gc[-p.first] = out.gc.get(-p.first, 0) - mu
+        elif p.step == 2:
+            out.gr[-p.first] = out.gr.get(-p.first, 0) - mu
+            out.a2 += Fraction(mu, 2)
+        else:
+            raise ValueError(
+                f"no closed form for infinite step-{p.step} progressions")
+    return out
+
+
 def regdet_progression(p: Progression) -> GammaExpression:
     """Exact closed form of the block determinant of one progression."""
-    if p.multiplicity == 0 or p.count == 0:
-        return identity()
-    if p.count is not None:
-        lin: dict = {}
-        for k in range(p.count):
-            m = p.first - k * p.step
-            lin[m] = lin.get(m, 0) + p.multiplicity
-        return GammaExpression(lin=lin)
-    if p.step == 1:
-        return GammaExpression(gc={-p.first: -p.multiplicity})
-    if p.step == 2:
-        return GammaExpression(gr={-p.first: -p.multiplicity},
-                               a2=Fraction(p.multiplicity, 2))
-    raise ValueError(f"no closed form for infinite step-{p.step} progressions")
+    return add_block_determinants(Tables(), (p,)).expression()
+
+
+def ratio_tables(measure: SpectralMeasure) -> Tables:
+    """Tables of the even/odd ratio of block determinants."""
+    return add_block_determinants(add_block_determinants(
+        Tables(), measure.even), measure.odd, -1)
 
 
 class DeterminantRatio(NamedTuple):
@@ -71,9 +85,9 @@ class DeterminantRatio(NamedTuple):
 
 def regdet_measure(measure: SpectralMeasure) -> DeterminantRatio:
     """Determinant of each parity block and the even/odd ratio."""
-    even = product(map(regdet_progression, measure.even))
-    odd = product(map(regdet_progression, measure.odd))
-    return DeterminantRatio(even, odd, product((even, power(odd, -1))))
+    even, odd = (add_block_determinants(Tables(), part).expression()
+                 for part in (measure.even, measure.odd))
+    return DeterminantRatio(even, odd, ratio_tables(measure).expression())
 
 
 def hurwitz_zeta_deriv0(x: float, two_pi_over_delta: float) -> float:

@@ -8,7 +8,7 @@ normal form of LHS_w / RHS_w must be a constant the theorem allows, 1
 over C and a power of sqrt(2) over R.  Two readings are reported
 alongside, neither gating the verdict: the divisor of the whole residue
 LHS / RHS, read off its normal form, names the point nearest 0 where a
-mismatch shows, and log(LHS/RHS) at sample points gives the constant in
+mismatch shows, and log(LHS/RHS) at sample points checks the constant in
 floating point, where a sign disagreement under an exact match is a bug.
 """
 
@@ -18,12 +18,11 @@ import statistics
 from dataclasses import dataclass
 
 from .cyclic import weight_spectrum
-from .factors import serre_factor
-from .gamma import (SINGULARITY_GUARD, GammaExpression, evaluate_log,
-                    nearest_divisor_point, normalize, power, product,
-                    render)
+from .factors import completed_alternating_product, serre_tables
+from .gamma import (LN2, SINGULARITY_GUARD, GammaExpression, Tables,
+                    evaluate_log, nearest_divisor_point, normal_tables, render)
 from .hodge import HodgeData, Place, validate
-from .regdet import regdet_measure
+from .regdet import ratio_tables
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,9 @@ class VerificationReport:
     LHS / RHS.  ``divisor_match`` says whether the residue has neither
     zeros nor poles, which :meth:`ok` implies; if it has,
     ``mismatch_witness`` is the one nearest 0.
-    ``constant_log`` and ``constant_stddev`` are the mean and spread of
-    log(LHS) - log(RHS) over the samples, reported, not asserted.
+    ``constant_log`` is log of the residue if that is a constant, else
+    the mean of log(LHS) - log(RHS) over the samples, and
+    ``constant_stddev`` their spread; neither is asserted.
     """
 
     name: str
@@ -77,12 +77,15 @@ class VerificationReport:
         }
 
 
-def _is_allowed_constant(residue: GammaExpression, place: Place) -> bool:
+def _is_constant(x) -> bool:
+    """Whether the normal form x, tables or expression, is free of s."""
+    return not any((*x.gr.values(), *x.lin.values(), x.b2, x.api, x.bpi))
+
+
+def _is_allowed_constant(residue, place: Place) -> bool:
     """Whether a normal form is 2^(k/2) for an integer k, with k = 0 at
     a complex place: the constants the theorem allows."""
-    return (not (residue.gr or residue.gc or residue.lin)
-            and residue.b2 == residue.api == residue.bpi == 0
-            and (2 * residue.a2).denominator == 1
+    return (_is_constant(residue) and (2 * residue.a2).denominator == 1
             and (place is Place.REAL or residue.a2 == 0))
 
 
@@ -94,7 +97,9 @@ def verify_theorem(data: HodgeData, samples=None,
     Only the weights present in the data are visited, each building its
     spectrum once: an absent weight is 1 on both sides, so the cost
     follows the nonzero Hodge data, and ``dim`` only places the default
-    sample points, to the right of every zero and pole.
+    sample points, to the right of every zero and pole.  Each weight
+    adds into integer exponent tables; only LHS, RHS and residue are
+    built as expressions.
     """
     bad = validate(data)
     if bad:
@@ -107,16 +112,17 @@ def verify_theorem(data: HodgeData, samples=None,
         if not samples:
             raise ValueError("need at least one sample point")
 
-    parts = []
+    rhs, residue = Tables(), Tables()
     per_weight = []
     for piece in data.weights:
         w = piece.w
-        lhs_w = power(serre_factor(piece, data.place), 1 if w % 2 else -1)
-        rhs_w = regdet_measure(weight_spectrum(data, w)).ratio
-        residue_w = normalize(product((lhs_w, power(rhs_w, -1))))
+        rhs.add(rhs_w := ratio_tables(weight_spectrum(data, w)))
+        residue_w = normal_tables(serre_tables(
+            piece, data.place, 1 if w % 2 else -1).add(rhs_w, -1))
         per_weight.append((w, _is_allowed_constant(residue_w, data.place)))
-        parts.append((lhs_w, rhs_w, residue_w))
-    lhs, rhs, residue = (product(part[k] for part in parts) for k in range(3))
+        residue.add(residue_w)
+    lhs = completed_alternating_product(data)
+    rhs, residue = rhs.expression(), residue.expression()
     witness = nearest_divisor_point(residue)
 
     points = []
@@ -136,7 +142,8 @@ def verify_theorem(data: HodgeData, samples=None,
         mismatch_witness=witness,
         per_weight=tuple(per_weight),
         residue=residue,
-        constant_log=statistics.fmean(diffs),
+        constant_log=(float(residue.a2) * LN2 if _is_constant(residue)
+                      else statistics.fmean(diffs)),
         constant_stddev=statistics.pstdev(diffs),
         samples=tuple(points),
     )

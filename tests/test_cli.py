@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -100,6 +101,20 @@ def test_verify_json_report(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True and doc["divisor_match"] is True
+
+
+def test_constant_log_is_exact_at_large_samples(capsys):
+    # log LHS and log RHS are each about 1e21 at s = 1e20, so their
+    # difference cancels; the residue 2^(-1) gives the constant exactly
+    exact = -0.693147180560
+    code, out, _ = run(capsys, "verify", "preset:P1_R", "--samples", "1e20")
+    assert code == 0
+    line, = (x for x in out.splitlines() if x.startswith("constant log"))
+    assert abs(float(line.split()[2]) - exact) < 1e-12, line
+    code, out, _ = run(capsys, "verify", "preset:P1_R", "--samples", "1e20",
+                       "--json")
+    assert code == 0
+    assert abs(json.loads(out)["constant_log"] - exact) < 1e-12
 
 
 def test_verify_bad_file_exit_two(tmp_path, capsys):
@@ -270,3 +285,52 @@ def test_verify_malformed_document_exit_two(tmp_path, capsys, text, message):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def _json_spots(doc, path=()):
+    """(path, value) of every value below the top of a JSON document."""
+    if path:
+        yield path, doc
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_spots(value, path + (key,))
+
+
+def _mutate(rng, doc) -> None:
+    """One seeded damage in place: drop a key or entry, swap a value's
+    type, negate or over-size an integer, or nest a value in a list."""
+    path, value = rng.choice(list(_json_spots(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    kind = rng.choice(["drop", "swap", "negate", "oversize", "nest"])
+    if kind == "drop":
+        del parent[key]
+    elif kind == "swap":
+        parent[key] = rng.choice(["x", "0,0", 1.5, True, None, [], {}, -1, 0])
+    elif kind == "negate" and type(value) is int:
+        parent[key] = -value
+    elif kind == "oversize" and type(value) is int:
+        parent[key] = rng.choice([2 ** 53, 2 ** 53 + 1, 10 ** 30,
+                                  value * 10 ** 6, value + 1000])
+    else:
+        parent[key] = [value]
+
+
+def test_fuzzed_presets_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(805)
+    path = tmp_path / "doc.json"
+    codes = set()
+    for _ in range(300):
+        doc = to_json_dict(preset(rng.choice(PRESET_NAMES)))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, doc)
+        text = json.dumps(doc)
+        path.write_text(text)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code in (0, 1, 2), (text, err)
+        assert len(error_lines(err)) <= 1, (text, err)
+        codes.add(code)
+    assert {0, 2} <= codes  # both valid and refused documents occur

@@ -7,11 +7,12 @@ import pytest
 import archfactor.cyclic as cyclic_module
 import archfactor.gamma as gamma_module
 import archfactor.verify as verify_module
-from archfactor import (PRESET_NAMES, HodgeData, Place,
+from archfactor import (PRESET_NAMES, GammaExpression, HodgeData, Place,
                         SingularEvaluationError, SpectralMeasure,
                         WeightPiece, gamma_c, gamma_r, linear,
                         nearest_divisor_point, normalize, power, prefactor,
-                        preset, product, verify_theorem)
+                        preset, product, regdet_measure, serre_factor,
+                        verify_theorem, weight_spectrum)
 from helpers import random_hodge_data
 
 
@@ -106,13 +107,12 @@ def test_wrong_multiplicity_fails_its_weight(monkeypatch):
     ("point_R", "1/4", False),
 ])
 def test_constant_is_asserted(monkeypatch, name, a2, allowed):
-    exact = verify_module.regdet_measure
+    exact = verify_module.ratio_tables
 
     def scaled(measure):
-        dets = exact(measure)
-        return dets._replace(ratio=product((dets.ratio, prefactor(a2=a2))))
+        return exact(measure).add(prefactor(a2=a2))
 
-    monkeypatch.setattr(verify_module, "regdet_measure", scaled)
+    monkeypatch.setattr(verify_module, "ratio_tables", scaled)
     report = verify_theorem(preset(name))
     assert report.divisor_match
     assert report.ok() is allowed
@@ -186,19 +186,72 @@ def test_divisor_work_follows_the_data_not_dim(monkeypatch):
     pytest.param(-42, id="left_of_tails"),
 ])
 def test_stray_root_is_witnessed(monkeypatch, offset):
-    exact = verify_module.regdet_measure
+    exact = verify_module.ratio_tables
     data = preset("P2_C")
     root = data.dim + offset
 
     def shifted(measure):
-        dets = exact(measure)
-        return dets._replace(ratio=product((dets.ratio, linear(root))))
+        return exact(measure).add(linear(root))
 
-    monkeypatch.setattr(verify_module, "regdet_measure", shifted)
+    monkeypatch.setattr(verify_module, "ratio_tables", shifted)
     report = verify_theorem(data)
     assert report.divisor_match is False
     assert report.mismatch_witness == root
     assert report.ok() is False
+
+
+def test_integer_tables_match_the_expression_route(monkeypatch):
+    # each weight's verdict, the residue and the RHS against the route
+    # through one GammaExpression per block: normalize(LHS_w / RHS_w)
+    evaluated = []
+    exact = verify_module.evaluate_log
+
+    def recorded(x, s, guard):
+        evaluated.append(x)
+        return exact(x, s, guard)
+
+    monkeypatch.setattr(verify_module, "evaluate_log", recorded)
+    rng = random.Random(804)
+    datasets = [random_hodge_data(rng, max_dim=4, max_entry=10 ** 6,
+                                  place=(Place.REAL, Place.COMPLEX)[i % 2])
+                for i in range(200)]
+    datasets += [full_diamond(place, 1 + d, d)
+                 for d in range(9) for place in Place]
+    for data in datasets:
+        evaluated.clear()
+        report = verify_theorem(data, samples=(data.dim + 0.7,))
+        ratios, residues, per_weight = [], [], []
+        for piece in data.weights:
+            w = piece.w
+            lhs_w = power(serre_factor(piece, data.place), 1 if w % 2 else -1)
+            ratios.append(regdet_measure(weight_spectrum(data, w)).ratio)
+            residues.append(normalize(product((lhs_w, power(ratios[-1], -1)))))
+            per_weight.append((w, verify_module._is_allowed_constant(
+                residues[-1], data.place)))
+        assert report.per_weight == tuple(per_weight), data
+        assert report.residue == product(residues), data
+        assert evaluated[1] == product(ratios), data
+
+
+def test_expressions_built_do_not_follow_the_progressions(monkeypatch):
+    # the tables build the LHS, the RHS and the residue, once each,
+    # however many progressions the spectrum has
+    exact = GammaExpression.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        exact(self)
+
+    monkeypatch.setattr(GammaExpression, "__post_init__", counted)
+    for place in Place:
+        counts = []
+        for d in (4, 12):
+            data = full_diamond(place, 1, d)
+            built.clear()
+            assert verify_theorem(data).ok()
+            counts.append(len(built))
+        assert counts[0] == counts[1], (place, counts)
 
 
 def test_invalid_data_rejected():
