@@ -26,8 +26,9 @@ by (n, j) -> (2j - n, j - n).
 
 The scaling generator acts on the graded archimedean theory with
 integer eigenvalues; ``theta_spectrum`` reassembles its full spectral
-multiset, one parity per cohomological weight parity, as an explicit
-head plus eventually periodic infinite tails.
+multiset, one parity per cohomological weight parity.  Each weight's
+multiplicities are encoded as infinite tails alone, a few per Hodge
+number (``weight_spectrum``), so no eigenvalue is listed one at a time.
 """
 
 from __future__ import annotations
@@ -238,29 +239,33 @@ def same_spectrum(a: SpectralMeasure, b: SpectralMeasure) -> bool:
 
 
 def weight_spectrum(data: HodgeData, w: int) -> SpectralMeasure:
-    """Eigenvalue multiplicities contributed by a single weight.
+    """Eigenvalue multiplicities contributed by a single weight, as
+    infinite tails only.
 
     The multiplicity at eigenvalue m <= floor(w/2) is the archimedean
-    dimension at the index pair (w - 2m, w - m); eigenvalues above
-    floor(w/2) never occur.  Heads are listed eigenvalue by eigenvalue
-    down to -2; from there on the multiplicities are eventually
-    periodic and are encoded as infinite tails, one step-1 progression
-    at a complex place and two step-2 progressions (one per parity of
-    m) at a real place.
+    dimension at the index pair (w - 2m, w - m), i.e.
+    deligne_dim(w, w + 1 - m); eigenvalues above floor(w/2) never occur.
+    Going down, it only grows, by h^{p,q} (twice that at a complex
+    place) once m reaches w - p.  So a complex place gets one step-1
+    tail from floor(w/2) plus one per h^{p,q} with w - p below it, and
+    a real place the same with step-2 tails per residue class of m mod
+    2, from c = floor(w/2) and c = floor(w/2) - 1, each h^{p,q} starting
+    at the first m <= w - p of the class.  That is at most
+    2 * #h^{p,q} + 2 progressions, whatever w and dim are.
     """
-    if not 0 <= w <= 2 * data.dim:
-        raise ValueError(f"weight {w} outside [0, {2*data.dim}]")
-    heads = [(m, 1, 1) for m in range(w // 2, -3, -1)]
-    tails = ([(-3, 1, None)] if data.place is Place.COMPLEX
-             else [(-3, 2, None), (-4, 2, None)])
-    progs = []
-    for first, step, count in heads + tails:
-        mult = har_dim(data, *a_to_e(w, first, data.dim))
-        if mult:
-            progs.append(Progression(first, step, count, mult))
-    if w % 2:
-        return SpectralMeasure((), tuple(progs))
-    return SpectralMeasure(tuple(progs), ())
+    top = w // 2
+    step, starts = ((1, (top,)) if data.place is Place.COMPLEX
+                    else (2, (top, top - 1)))
+    tails = []
+    for c in starts:
+        tails.append((c, deligne_dim(data, w, w + 1 - c)))
+        tails.extend((w - p - (w - p - c) % step, 2 // step * h)
+                     for (p, _), h in data.piece(w).hpq.items() if p > w - c)
+    # a list: tuple() of a generator resizes its result, which strands
+    # tuples of every size on CPython's free lists and raises peak RSS
+    progs = [Progression(first, step, None, mult)
+             for first, mult in tails if mult]
+    return SpectralMeasure((), progs) if w % 2 else SpectralMeasure(progs, ())
 
 
 def theta_spectrum(data: HodgeData) -> SpectralMeasure:

@@ -46,6 +46,7 @@ _B_EVEN = (
 def add_block_determinants(out: Tables, progressions, k: int = 1) -> Tables:
     """Multiply the k-th power of each progression's block determinant
     into ``out``, in closed form."""
+    halves = 0
     for p in progressions:
         mu = k * p.multiplicity
         if mu == 0 or p.count == 0:
@@ -57,10 +58,12 @@ def add_block_determinants(out: Tables, progressions, k: int = 1) -> Tables:
             out.gc[-p.first] = out.gc.get(-p.first, 0) - mu
         elif p.step == 2:
             out.gr[-p.first] = out.gr.get(-p.first, 0) - mu
-            out.a2 += Fraction(mu, 2)
+            halves += mu
         else:
             raise ValueError(
                 f"no closed form for infinite step-{p.step} progressions")
+    if halves:
+        out.a2 += Fraction(halves, 2)
     return out
 
 

@@ -37,6 +37,18 @@ def random_hodge_data(rng: random.Random, max_dim: int = 2,
     return HodgeData(name, d, place, tuple(pieces))
 
 
+def full_diamond(place: Place, value: int, d: int = 3) -> HodgeData:
+    """Every h^{p,q} with 0 <= p, q <= d equal to value; the middle
+    pieces split all to h_plus at a real place."""
+    pieces = []
+    for w in range(2 * d + 1):
+        hpq = {(p, w - p): value for p in range(max(0, w - d), min(w, d) + 1)}
+        mid = hpq.get((w // 2, w // 2), 0) if w % 2 == 0 else 0
+        split = (mid, 0) if place is Place.REAL and mid else None
+        pieces.append(WeightPiece(w, hpq, split))
+    return HodgeData(f"diamond_{place.value}", d, place, tuple(pieces))
+
+
 def random_expression(rng: random.Random, size: int = 3) -> GammaExpression:
     """Small random formal product with shifts and roots in [-4, 4]."""
     gr = {}

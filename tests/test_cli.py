@@ -6,7 +6,8 @@ import pytest
 
 import archfactor.cli as cli_module
 import archfactor.verify as verify_module
-from archfactor import PRESET_NAMES, preset, to_json_dict, verify_theorem
+from archfactor import (PRESET_NAMES, Progression, SpectralMeasure, preset,
+                        to_json_dict, verify_theorem)
 from archfactor.cli import main
 
 
@@ -77,6 +78,45 @@ def test_spectrum_text_shows_tails(capsys):
     assert code == 0
     assert "tail" in out
     assert "multiplicity 1" in out
+
+
+def _rows(top, *runs):
+    """{str(m): multiplicity} for m going down from top, one run of
+    (count, multiplicity) after another."""
+    rows = {}
+    for count, mult in runs:
+        for _ in range(count):
+            rows[str(top)] = mult
+            top -= 1
+    return rows
+
+
+@pytest.mark.parametrize("name, heads, tails, constants", [
+    ("elliptic_R",
+     {"even": _rows(1, (20, 1)), "odd": _rows(0, (20, 1))},
+     {"even": [(0, 2, 1), (1, 2, 1)], "odd": [(0, 2, 1), (-1, 2, 1)]},
+     {"even": {0: 1, 1: 1}, "odd": {0: 1, 1: 1}}),
+    ("P2_C",
+     {"even": _rows(2, (1, 1), (1, 2), (18, 3)), "odd": _rows(0, (20, 0))},
+     {"even": [(0, 1, 1), (1, 1, 1), (2, 1, 1)], "odd": []},
+     {"even": {0: 3, 1: 3}, "odd": {0: 0, 1: 0}}),
+])
+def test_spectrum_listing_is_pinned(capsys, name, heads, tails, constants):
+    # the head rows and the eventual multiplicities are those of the
+    # eigenvalue-by-eigenvalue encoding; the tails list is the new one
+    code, out, _ = run(capsys, "spectrum", f"preset:{name}", "--json",
+                       "--depth", "20")
+    assert code == 0
+    doc = json.loads(out)["spectrum"]
+    for label in ("even", "odd"):
+        assert doc[label]["head"] == heads[label]
+        listed = [(t["first"], t["step"], t["multiplicity"])
+                  for t in doc[label]["tails"]]
+        assert sorted(listed) == sorted(tails[label])
+        measure = SpectralMeasure(
+            tuple(Progression(f, step, None, mult) for f, step, mult in listed),
+            ())
+        assert measure.tail_constants(0) == constants[label]
 
 
 def test_regdet_command(capsys):
@@ -255,6 +295,28 @@ def test_non_finite_float_flag_exit_two(capsys, argv):
     assert [line for line in err.splitlines() if "error" in line] == [
         f"archfactor {command}: error: argument {flag}: "
         f"expected a finite number, got {value!r}"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 2 ** 53, "place": "complex",
+     "weights": [{"w": 10 ** 6, "hpq": {}}]},
+    {"dim": 2 ** 53, "place": "complex",
+     "weights": [{"w": 2 ** 53, "hpq": {}}]},
+    {"dim": 2 ** 53, "place": "complex",
+     "weights": [{"w": 2 ** 53, "hpq": {f"{2 ** 52},{2 ** 52}": 1}}]},
+    {"dim": 2 ** 53, "place": "real",
+     "weights": [{"w": 2 ** 53 - 2, "hpq": {f"{2 ** 52 - 1},{2 ** 52 - 1}": 3},
+                  "middle_split": [1, 2]}]},
+], ids=["empty_far", "empty_at_limit", "hpp_at_limit", "split_at_limit"])
+def test_far_weight_verifies_quickly(tmp_path, capsys, doc):
+    # the spectrum of a weight is O(#h^{p,q}) tails, whatever w is
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and err == ""
+    assert "verdict: ok" in out
 
 
 @pytest.mark.parametrize("text, message", [

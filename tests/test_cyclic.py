@@ -7,7 +7,7 @@ from archfactor import (Place, Progression, SpectralMeasure, a_to_e, betti,
                         hc_dim, hc_dim_complex, hn_dim, hp_dim,
                         is_cyclic_pair, is_pole_pair, pole_order, preset,
                         same_spectrum, theta_spectrum, weight_spectrum)
-from helpers import random_hodge_data
+from helpers import full_diamond, random_hodge_data
 
 
 def test_index_bijection_examples():
@@ -223,3 +223,33 @@ def test_spectrum_additive_under_direct_sum():
                 assert (total.multiplicity(parity, m)
                         == ma.multiplicity(parity, m)
                         + mb.multiplicity(parity, m))
+
+
+def head_and_tails(data, w):
+    """The encoding weight_spectrum had before tails only, rebuilt from
+    pole_order: one eigenvalue at a time from floor(w/2) down to -2,
+    then a step-1 tail from -3 at a complex place, or step-2 tails from
+    -3 and -4 at a real place."""
+    heads = [(m, 1, 1) for m in range(w // 2, -3, -1)]
+    tails = ([(-3, 1, None)] if data.place is Place.COMPLEX
+             else [(-3, 2, None), (-4, 2, None)])
+    progs = tuple(Progression(first, step, count, pole_order(data, w, first))
+                  for first, step, count in heads + tails)
+    return SpectralMeasure((), progs) if w % 2 else SpectralMeasure(progs, ())
+
+
+def test_tails_match_the_head_encoding():
+    rng = random.Random(808)
+    datasets = [random_hodge_data(rng, max_dim=9,
+                                  max_entry=rng.choice((4, 10 ** 6)),
+                                  place=(Place.REAL, Place.COMPLEX)[i % 2])
+                for i in range(300)]
+    datasets += [full_diamond(place, 1 + d, d)
+                 for d in range(13) for place in Place]
+    for data in datasets:
+        for piece in data.weights:
+            measure = weight_spectrum(data, piece.w)
+            assert same_spectrum(measure, head_and_tails(data, piece.w))
+            progs = measure.even + measure.odd
+            assert all(p.count is None for p in progs)
+            assert len(progs) <= 2 * len(piece.hpq) + 2

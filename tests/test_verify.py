@@ -13,19 +13,7 @@ from archfactor import (PRESET_NAMES, GammaExpression, HodgeData, Place,
                         nearest_divisor_point, normalize, power, prefactor,
                         preset, product, regdet_measure, serre_factor,
                         verify_theorem, weight_spectrum)
-from helpers import random_hodge_data
-
-
-def full_diamond(place: Place, value: int, d: int = 3) -> HodgeData:
-    """Every h^{p,q} with 0 <= p, q <= d equal to value; the middle
-    pieces split all to h_plus at a real place."""
-    pieces = []
-    for w in range(2 * d + 1):
-        hpq = {(p, w - p): value for p in range(max(0, w - d), min(w, d) + 1)}
-        mid = hpq.get((w // 2, w // 2), 0) if w % 2 == 0 else 0
-        split = (mid, 0) if place is Place.REAL and mid else None
-        pieces.append(WeightPiece(w, hpq, split))
-    return HodgeData(f"diamond_{place.value}", d, place, tuple(pieces))
+from helpers import full_diamond, random_hodge_data
 
 
 def test_all_presets_verify():
@@ -142,22 +130,28 @@ def test_per_weight_breakdown_present():
 
 
 def test_spectrum_work_follows_the_data_not_dim(monkeypatch):
-    exact = cyclic_module.har_dim
+    exact = cyclic_module.deligne_dim
     calls = []
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
 
-    monkeypatch.setattr(cyclic_module, "har_dim", counted)
-    counts = []
-    for dim in (10, 1000):
+    monkeypatch.setattr(cyclic_module, "deligne_dim", counted)
+
+    def count(place, dim, w):
         calls.clear()
-        data = HodgeData("h00", dim, Place.COMPLEX,
-                         (WeightPiece(0, {(0, 0): 1}),))
+        split = (1, 0) if place is Place.REAL else None
+        data = HodgeData("hpp", dim, place,
+                         (WeightPiece(w, {(w // 2, w // 2): 1}, split),))
         assert verify_theorem(data).ok()
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        return len(calls)
+
+    for place in Place:
+        # neither the declared dim nor the weight sets the work
+        for counts in ([count(place, dim, 0) for dim in (10, 1000)],
+                       [count(place, 1000, w) for w in (2, 2000)]):
+            assert counts[0] == counts[1] > 0
 
 
 def test_divisor_work_follows_the_data_not_dim(monkeypatch):
