@@ -42,7 +42,7 @@ def load_input(spec: str) -> HodgeData:
         try:
             return preset(spec[len("preset:"):])
         except KeyError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -64,7 +64,7 @@ def _emit(doc) -> None:
 
 def _cmd_presets(args) -> int:
     if args.emit:
-        _emit(to_json_dict(preset(args.emit)))
+        _emit(to_json_dict(load_input(f"preset:{args.emit}")))
         return EXIT_OK
     if args.json:
         _emit(list(PRESET_NAMES))
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (InputError, ValueError, KeyError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:

@@ -2,13 +2,11 @@
 
 The basic object is :class:`GammaExpression`, a finite formal product
 
-    2^(a2 + b2*s) * pi^(api + bpi*s)
-      * prod_a GR(s + a)^gr[a]
-      * prod_a GC(s + a)^gc[a]
-      * prod_m ((s - m) / (2*pi))^lin[m]
+    2^a2 * prod_a GR(s + a)^gr[a] * prod_a GC(s + a)^gc[a]
+         * prod_m ((s - m) / (2*pi))^lin[m]
 
 with integer shifts ``a``, integer exponents, integer roots ``m`` of the
-linear factors, and exact rational prefactor coefficients.  The two
+linear factors, and an exact rational prefactor exponent a2.  The two
 Gamma building blocks are fixed once and for all as
 
     GR(z) = pi^(-z/2)   * Gamma(z/2)      poles: z = 0, -2, -4, ...
@@ -20,6 +18,9 @@ convention the zeta-regularized product of the arithmetic progression
 constant 1, and the duplication formula picks up a 2:
 
     GR(z) * GR(z+1) = 2 * GC(z).
+
+A step-2 progression gives 2^(mu/2) * GR(s - m0)^(-mu), so 2^a2 is the
+only prefactor a determinant or a normal form ever carries.
 
 All structural operations (:func:`product`, :func:`power`, the
 canonical form :func:`normalize`, and the zero and pole orders
@@ -64,28 +65,23 @@ class GammaExpression:
 
     ``gr`` maps a shift ``a`` to the exponent of GR(s+a), ``gc`` likewise
     for GC(s+a), and ``lin`` maps an integer ``m`` to the exponent of
-    ((s-m)/2pi).  The prefactor is 2^(a2+b2*s) * pi^(api+bpi*s) with
-    exact rational coefficients.  Instances are value objects: two
-    expressions are equal exactly when all five components agree.
+    ((s-m)/2pi).  The prefactor is 2^a2 with a2 an exact rational.
+    Instances are value objects: two expressions are equal exactly when
+    all four components agree.
     """
 
     gr: dict = field(default_factory=dict)
     gc: dict = field(default_factory=dict)
     lin: dict = field(default_factory=dict)
     a2: Fraction = Fraction(0)
-    b2: Fraction = Fraction(0)
-    api: Fraction = Fraction(0)
-    bpi: Fraction = Fraction(0)
 
     def __post_init__(self):
         for name in ("gr", "gc", "lin"):
             object.__setattr__(self, name, _clean(getattr(self, name)))
-        for name in ("a2", "b2", "api", "bpi"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        object.__setattr__(self, "a2", Fraction(self.a2))
 
     def is_identity(self) -> bool:
-        return not (self.gr or self.gc or self.lin
-                    or self.a2 or self.b2 or self.api or self.bpi)
+        return not (self.gr or self.gc or self.lin or self.a2)
 
     def __str__(self) -> str:
         return render(self)
@@ -111,9 +107,9 @@ def linear(m: int, exponent: int = 1) -> GammaExpression:
     return GammaExpression(lin={m: exponent})
 
 
-def prefactor(a2=0, b2=0, api=0, bpi=0) -> GammaExpression:
-    """The bare constant 2^(a2+b2*s) * pi^(api+bpi*s)."""
-    return GammaExpression(a2=a2, b2=b2, api=api, bpi=bpi)
+def prefactor(a2=0) -> GammaExpression:
+    """The bare constant 2^a2."""
+    return GammaExpression(a2=a2)
 
 
 @dataclass
@@ -125,9 +121,6 @@ class Tables:
     gc: dict = field(default_factory=dict)
     lin: dict = field(default_factory=dict)
     a2: Fraction = Fraction(0)
-    b2: Fraction = Fraction(0)
-    api: Fraction = Fraction(0)
-    bpi: Fraction = Fraction(0)
 
     def add(self, x, k: int = 1) -> "Tables":
         """Multiply x^k in, for x a Tables or a GammaExpression."""
@@ -135,9 +128,8 @@ class Tables:
                            (self.lin, x.lin)):
             for key, e in table.items():
                 out[key] = out.get(key, 0) + k * e
-        for name in ("a2", "b2", "api", "bpi"):
-            if c := getattr(x, name):
-                setattr(self, name, getattr(self, name) + k * c)
+        if x.a2:
+            self.a2 += k * x.a2
         return self
 
     def expression(self) -> GammaExpression:
@@ -146,7 +138,7 @@ class Tables:
 
 def product(factors) -> GammaExpression:
     """Formal product of any number of expressions, built in one pass:
-    exponents add, prefactor coefficients add.  The empty product is
+    exponents add, prefactor exponents add.  The empty product is
     the identity."""
     out = Tables()
     for x in factors:
@@ -202,8 +194,7 @@ def normal_tables(x) -> Tables:
     GR(s + a mod 2), booking one linear factor per step.  Two expressions
     have the same value exactly when their normal forms are equal: far
     to the left the pole orders fix u and v, the rational part fixes the
-    linear factors, and as log 2 and log pi are independent over Q the
-    value fixes the prefactor.
+    linear factors, and what is left, 2^a2, fixes a2.
     """
     shifts = dict(x.gr)
     for a, e in x.gc.items():
@@ -222,7 +213,7 @@ def normal_tables(x) -> Tables:
             if e := (total if b >= r else 0) - below:
                 lin[-b] = lin.get(-b, 0) + e
     a2 = x.a2 - sum(x.gc.values())
-    return Tables(gr, {}, lin, a2, x.b2, x.api, x.bpi)
+    return Tables(gr, {}, lin, a2)
 
 
 def normalize(x: GammaExpression) -> GammaExpression:
@@ -265,8 +256,7 @@ def evaluate_log(x: GammaExpression, s: float, guard: float = SINGULARITY_GUARD)
         if abs(s - m) < guard:
             raise SingularEvaluationError(f"linear factor root m={m} near s={s}")
 
-    total = (float(x.a2) + float(x.b2) * s) * LN2
-    total += (float(x.api) + float(x.bpi) * s) * LNPI
+    total = float(x.a2) * LN2
     sign = 1
     for a, e in x.gr.items():
         half = (s + a) / 2.0
@@ -292,20 +282,11 @@ def _fmt_shift(a: int) -> str:
     return f"s{a:+d}"
 
 
-def _fmt_coeff_pair(base: str, c0: Fraction, c1: Fraction) -> str:
-    if c1 == 0:
-        return f"{base}^({c0})"
-    sign = "+" if c1 >= 0 else "-"
-    return f"{base}^({c0}{sign}{abs(c1)} s)"
-
-
 def render(x: GammaExpression) -> str:
     """Plain-text form, e.g. ``2^(1/2) * GR(s-1)^-1 * ((s+2)/2pi)^1``."""
     parts = []
-    if x.a2 or x.b2:
-        parts.append(_fmt_coeff_pair("2", x.a2, x.b2))
-    if x.api or x.bpi:
-        parts.append(_fmt_coeff_pair("pi", x.api, x.bpi))
+    if x.a2:
+        parts.append(f"2^({x.a2})")
     for a, e in sorted(x.gr.items()):
         parts.append(f"GR({_fmt_shift(a)})^{e}")
     for a, e in sorted(x.gc.items()):
@@ -316,11 +297,11 @@ def render(x: GammaExpression) -> str:
 
 
 def expression_to_json(x: GammaExpression) -> dict:
-    """JSON-stable dict form; exponent tables keyed by stringified ints."""
+    """JSON-stable dict form; exponent tables keyed by stringified ints.
+    ``pre`` keeps the zero coefficients of 2^s, pi and pi^s beside a2."""
     return {
         "gr": {str(a): e for a, e in sorted(x.gr.items())},
         "gc": {str(a): e for a, e in sorted(x.gc.items())},
         "lin": {str(m): e for m, e in sorted(x.lin.items())},
-        "pre": {"a2": str(x.a2), "b2": str(x.b2),
-                "api": str(x.api), "bpi": str(x.bpi)},
+        "pre": {"a2": str(x.a2), "b2": "0", "api": "0", "bpi": "0"},
     }

@@ -18,7 +18,7 @@ import statistics
 from dataclasses import dataclass
 
 from .cyclic import weight_spectrum
-from .factors import completed_alternating_product, serre_tables
+from .factors import serre_tables
 from .gamma import (LN2, SINGULARITY_GUARD, GammaExpression, Tables,
                     evaluate_log, nearest_divisor_point, normal_tables, render)
 from .hodge import HodgeData, Place, validate
@@ -79,7 +79,7 @@ class VerificationReport:
 
 def _is_constant(x) -> bool:
     """Whether the normal form x, tables or expression, is free of s."""
-    return not any((*x.gr.values(), *x.lin.values(), x.b2, x.api, x.bpi))
+    return not any((*x.gr.values(), *x.lin.values()))
 
 
 def _is_allowed_constant(residue, place: Place) -> bool:
@@ -95,11 +95,11 @@ def verify_theorem(data: HodgeData, samples=None,
     ratio of the scaling spectrum, weight by weight and exactly.
 
     Only the weights present in the data are visited, each building its
-    spectrum once: an absent weight is 1 on both sides, so the cost
-    follows the nonzero Hodge data, and ``dim`` only places the default
-    sample points, to the right of every zero and pole.  Each weight
-    adds into integer exponent tables; only LHS, RHS and residue are
-    built as expressions.
+    local factor and its spectrum once: an absent weight is 1 on both
+    sides, so the cost follows the nonzero Hodge data, and ``dim`` only
+    places the default sample points, to the right of every zero and
+    pole.  Each weight adds into integer exponent tables; only LHS, RHS
+    and residue are built as expressions.
     """
     bad = validate(data)
     if bad:
@@ -112,17 +112,16 @@ def verify_theorem(data: HodgeData, samples=None,
         if not samples:
             raise ValueError("need at least one sample point")
 
-    rhs, residue = Tables(), Tables()
+    lhs, rhs, residue = Tables(), Tables(), Tables()
     per_weight = []
     for piece in data.weights:
         w = piece.w
+        lhs.add(lhs_w := serre_tables(piece, data.place, 1 if w % 2 else -1))
         rhs.add(rhs_w := ratio_tables(weight_spectrum(data, w)))
-        residue_w = normal_tables(serre_tables(
-            piece, data.place, 1 if w % 2 else -1).add(rhs_w, -1))
+        residue_w = normal_tables(lhs_w.add(rhs_w, -1))
         per_weight.append((w, _is_allowed_constant(residue_w, data.place)))
         residue.add(residue_w)
-    lhs = completed_alternating_product(data)
-    rhs, residue = rhs.expression(), residue.expression()
+    lhs, rhs, residue = (t.expression() for t in (lhs, rhs, residue))
     witness = nearest_divisor_point(residue)
 
     points = []

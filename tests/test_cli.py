@@ -174,9 +174,12 @@ def test_verify_invalid_data_exit_two(tmp_path, capsys):
 
 
 def test_unknown_preset_exit_two(capsys):
-    code, _, err = run(capsys, "factors", "preset:torus")
-    assert code == 2
-    assert "unknown preset" in err
+    # one unquoted message, from every command that takes a preset name
+    for argv in (["presets", "--emit", "torus"], ["factors", "preset:torus"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1, argv
+        assert err.startswith("error: unknown preset 'torus'"), argv
 
 
 def test_eval_command(capsys):
@@ -268,13 +271,32 @@ def test_sign_bug_exits_three(monkeypatch, capsys):
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise RuntimeError("boom")
+    # a KeyError from a bug is not bad input either
+    for exc, line in ((RuntimeError("boom"), "RuntimeError: boom"),
+                      (KeyError("boom"), "KeyError: 'boom'")):
+        def broken(*args, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(cli_module, "verify_theorem", broken)
-    code, out, err = run(capsys, "verify", "preset:P1_R")
-    assert code == 3 and out == ""
-    assert err.splitlines() == ["error: internal error: RuntimeError: boom"]
+        monkeypatch.setattr(cli_module, "verify_theorem", broken)
+        code, out, err = run(capsys, "verify", "preset:P1_R")
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"error: internal error: {line}"]
+
+
+def test_json_prefactor_keeps_four_keys(capsys):
+    # the JSON form of 2^a2 keeps the zero coefficients of 2^s, pi and pi^s
+    code, out, _ = run(capsys, "factors", "preset:P1_R", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    pres = [x["pre"] for x in (*doc["weights"].values(), doc["product"])]
+    code, out, _ = run(capsys, "regdet", "--first", "0", "--step", "2",
+                       "--s", "1.4", "--json")
+    assert code == 0
+    pres.append(json.loads(out)["determinant"]["pre"])
+    assert pres[-1]["a2"] == "1/2"
+    for pre in pres:
+        assert sorted(pre) == ["a2", "api", "b2", "bpi"]
+        assert pre["b2"] == pre["api"] == pre["bpi"] == "0"
 
 
 # the rejected value comes last, after its flag

@@ -138,8 +138,7 @@ def test_order_additivity():
     # the one-pass product agrees with the left fold of two-factor products
     for _ in range(50):
         factors = [product((random_expression(rng), prefactor(
-            *(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-              for _ in range(4)))))
+            a2=Fraction(rng.randint(-3, 3), rng.randint(1, 4)))))
             for _ in range(rng.randint(0, 6))]
         folded = identity()
         for x in factors:
@@ -254,10 +253,11 @@ def test_normalize_reduces_identity_to_one():
 
 
 def test_prefactor_evaluation():
-    x = prefactor(a2="1/2", bpi=2)
-    val, sign = evaluate_log(x, 3.0)
-    assert sign == 1
-    assert abs(val - (0.5 * math.log(2) + 6 * math.log(math.pi))) < 1e-12
+    x = prefactor(a2="1/2")
+    for s in (-2.5, 0.0, 3.0, 40.0):
+        val, sign = evaluate_log(x, s)
+        assert sign == 1
+        assert abs(val - 0.5 * math.log(2)) < 1e-12
 
 
 def test_render_forms():
@@ -266,7 +266,6 @@ def test_render_forms():
     assert render(linear(2, 1)) == "((s-2)/2pi)^1"
     assert render(linear(-1, 3)) == "((s+1)/2pi)^3"
     assert "2^(1/2)" in render(prefactor(a2="1/2"))
-    assert "pi^(0+1 s)" in render(prefactor(bpi=1))
 
 
 def test_canonical_zero_exponents_dropped():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import archfactor.cyclic as cyclic_module
+import archfactor.factors as factors_module
 import archfactor.gamma as gamma_module
 import archfactor.verify as verify_module
 from archfactor import (PRESET_NAMES, GammaExpression, HodgeData, Place,
@@ -246,6 +247,25 @@ def test_expressions_built_do_not_follow_the_progressions(monkeypatch):
             assert verify_theorem(data).ok()
             counts.append(len(built))
         assert counts[0] == counts[1], (place, counts)
+
+
+def test_serre_tables_built_once_per_weight(monkeypatch):
+    # the LHS and the per-weight residues share one local factor per weight
+    exact = factors_module.serre_tables
+    calls = []
+
+    def counted(piece, place, k=1):
+        calls.append(piece.w)
+        return exact(piece, place, k)
+
+    monkeypatch.setattr(verify_module, "serre_tables", counted)
+    monkeypatch.setattr(factors_module, "serre_tables", counted)
+    for place in Place:
+        for d in (4, 12):
+            data = full_diamond(place, 1, d)
+            calls.clear()
+            assert verify_theorem(data).ok()
+            assert calls == [piece.w for piece in data.weights], (place, d)
 
 
 def test_invalid_data_rejected():
