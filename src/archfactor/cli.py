@@ -6,8 +6,6 @@ path ``preset:NAME`` for one of the built-in geometries.  Exit codes:
 internal error (any other exception, reported on one ``error:`` line).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -16,7 +14,7 @@ import sys
 from . import gamma
 from .cyclic import Progression, theta_spectrum, weight_spectrum
 from .deligne import deligne_dim, pole_order
-from .factors import completed_alternating_product, serre_factor
+from .factors import completed_alternating_product, serre_tables
 from .gamma import SINGULARITY_GUARD, evaluate_log, render
 from .hodge import (HodgeData, PRESET_NAMES, from_json_dict, preset,
                     to_json_dict, validate)
@@ -77,9 +75,12 @@ def _cmd_presets(args) -> int:
 def _cmd_factors(args) -> int:
     data = load_input(args.input)
     per_weight = {}
+    alternating = gamma.Tables()
     for piece in data.weights:
-        per_weight[piece.w] = serre_factor(piece, data.place)
-    product = completed_alternating_product(data)
+        tables = serre_tables(piece, data.place)
+        per_weight[piece.w] = tables.expression()
+        alternating.add(tables, 1 if piece.w % 2 else -1)
+    product = alternating.expression()
     if args.json:
         _emit({"name": data.name,
                "weights": {str(w): gamma.expression_to_json(x)

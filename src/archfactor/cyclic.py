@@ -31,10 +31,6 @@ multiplicities are encoded as infinite tails alone, a few per Hodge
 number (``weight_spectrum``), so no eigenvalue is listed one at a time.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .deligne import deligne_dim
 from .hodge import HodgeData, Place, betti, betti_eigen
 
@@ -140,7 +136,6 @@ def har_dim_from_sequence(data: HodgeData, n: int, j: int) -> int:
 # spectral measures
 
 
-@dataclass(frozen=True)
 class Progression:
     """Arithmetic progression of eigenvalues first, first-step, ...,
     descending, each carrying the same multiplicity.
@@ -148,18 +143,20 @@ class Progression:
     ``count`` is the number of terms, or None for an infinite tail.
     """
 
-    first: int
-    step: int
-    count: int | None
-    multiplicity: int
+    __slots__ = ("first", "step", "count", "multiplicity")
 
-    def __post_init__(self):
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
-        if self.count is not None and self.count < 0:
-            raise ValueError(f"count must be >= 0 or None, got {self.count}")
-        if self.multiplicity < 0:
-            raise ValueError(f"negative multiplicity {self.multiplicity}")
+    def __init__(self, first: int, step: int, count: int | None,
+                 multiplicity: int):
+        if step < 1:
+            raise ValueError(f"step must be >= 1, got {step}")
+        if count is not None and count < 0:
+            raise ValueError(f"count must be >= 0 or None, got {count}")
+        if multiplicity < 0:
+            raise ValueError(f"negative multiplicity {multiplicity}")
+        self.first = first
+        self.step = step
+        self.count = count
+        self.multiplicity = multiplicity
 
     def contains(self, m: int) -> bool:
         k, rem = divmod(self.first - m, self.step)
@@ -176,16 +173,14 @@ class Progression:
         return self.first - self.step * (self.count - 1)
 
 
-@dataclass(frozen=True)
 class SpectralMeasure:
     """Integer eigenvalue multiplicities, split by degree parity."""
 
-    even: tuple
-    odd: tuple
+    __slots__ = ("even", "odd")
 
-    def __post_init__(self):
-        object.__setattr__(self, "even", tuple(self.even))
-        object.__setattr__(self, "odd", tuple(self.odd))
+    def __init__(self, even, odd):
+        self.even = tuple(even)
+        self.odd = tuple(odd)
 
     def progressions(self, parity: int) -> tuple:
         return self.even if parity % 2 == 0 else self.odd

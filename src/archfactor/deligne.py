@@ -17,8 +17,6 @@ completed product that never touches GR/GC factor bookkeeping, which is
 exactly what makes it useful as a cross-check.
 """
 
-from __future__ import annotations
-
 from .hodge import HodgeData, Place, betti, betti_eigen
 
 

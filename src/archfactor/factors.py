@@ -17,8 +17,6 @@ data.  The completed product over all weights takes each factor with
 exponent (-1)^(w+1), so even weights contribute inverted factors.
 """
 
-from __future__ import annotations
-
 from .gamma import GammaExpression, Tables, product
 from .hodge import HodgeData, Place, WeightPiece
 

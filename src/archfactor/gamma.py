@@ -30,10 +30,7 @@ integer/rational arithmetic, summed in exponent :class:`Tables`.  Only
 with an explicit sign, so large exponents never overflow.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 LN2 = math.log(2.0)
@@ -52,14 +49,13 @@ class SingularEvaluationError(ValueError):
 def _clean(table) -> dict:
     # canonical form: integer keys/values, zero exponents dropped, sorted
     out = {}
-    for k, v in sorted(table.items()):
+    for k, v in sorted(table.items() if table else ()):
         v = int(v)
         if v:
             out[int(k)] = v
     return out
 
 
-@dataclass(frozen=True)
 class GammaExpression:
     """A formal product of GR/GC factors, linear factors and a prefactor.
 
@@ -70,15 +66,22 @@ class GammaExpression:
     all four components agree.
     """
 
-    gr: dict = field(default_factory=dict)
-    gc: dict = field(default_factory=dict)
-    lin: dict = field(default_factory=dict)
-    a2: Fraction = Fraction(0)
+    __slots__ = ("gr", "gc", "lin", "a2")
 
-    def __post_init__(self):
-        for name in ("gr", "gc", "lin"):
-            object.__setattr__(self, name, _clean(getattr(self, name)))
-        object.__setattr__(self, "a2", Fraction(self.a2))
+    def __init__(self, gr=None, gc=None, lin=None, a2=Fraction(0)):
+        self.gr = _clean(gr)
+        self.gc = _clean(gc)
+        self.lin = _clean(lin)
+        self.a2 = Fraction(a2)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.gr, self.gc, self.lin, self.a2)
+                == (other.gr, other.gc, other.lin, other.a2))
+
+    def __repr__(self) -> str:
+        return f"<GammaExpression {render(self)}>"
 
     def is_identity(self) -> bool:
         return not (self.gr or self.gc or self.lin or self.a2)
@@ -112,15 +115,17 @@ def prefactor(a2=0) -> GammaExpression:
     return GammaExpression(a2=a2)
 
 
-@dataclass
 class Tables:
     """The fields of a :class:`GammaExpression`, mutable and uncleaned:
     a product costs one dict update per term and one cleaning at the end."""
 
-    gr: dict = field(default_factory=dict)
-    gc: dict = field(default_factory=dict)
-    lin: dict = field(default_factory=dict)
-    a2: Fraction = Fraction(0)
+    __slots__ = ("gr", "gc", "lin", "a2")
+
+    def __init__(self, gr=None, gc=None, lin=None, a2=Fraction(0)):
+        self.gr = {} if gr is None else gr
+        self.gc = {} if gc is None else gc
+        self.lin = {} if lin is None else lin
+        self.a2 = a2
 
     def add(self, x, k: int = 1) -> "Tables":
         """Multiply x^k in, for x a Tables or a GammaExpression."""
@@ -133,7 +138,7 @@ class Tables:
         return self
 
     def expression(self) -> GammaExpression:
-        return GammaExpression(**vars(self))
+        return GammaExpression(self.gr, self.gc, self.lin, self.a2)
 
 
 def product(factors) -> GammaExpression:
@@ -278,21 +283,17 @@ def evaluate_log(x: GammaExpression, s: float, guard: float = SINGULARITY_GUARD)
     return total, sign
 
 
-def _fmt_shift(a: int) -> str:
-    return f"s{a:+d}"
-
-
 def render(x: GammaExpression) -> str:
     """Plain-text form, e.g. ``2^(1/2) * GR(s-1)^-1 * ((s+2)/2pi)^1``."""
     parts = []
     if x.a2:
         parts.append(f"2^({x.a2})")
     for a, e in sorted(x.gr.items()):
-        parts.append(f"GR({_fmt_shift(a)})^{e}")
+        parts.append(f"GR(s{a:+d})^{e}")
     for a, e in sorted(x.gc.items()):
-        parts.append(f"GC({_fmt_shift(a)})^{e}")
+        parts.append(f"GC(s{a:+d})^{e}")
     for m, e in sorted(x.lin.items()):
-        parts.append(f"(({_fmt_shift(-m)})/2pi)^{e}")
+        parts.append(f"((s{-m:+d})/2pi)^{e}")
     return " * ".join(parts) if parts else "1"
 
 

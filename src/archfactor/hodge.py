@@ -14,12 +14,9 @@ only through the preset catalogue and through whatever data the caller
 supplies.
 """
 
-from __future__ import annotations
-
 import enum
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 
 
@@ -30,7 +27,6 @@ class Place(enum.Enum):
     COMPLEX = "complex"
 
 
-@dataclass(frozen=True)
 class WeightPiece:
     """Hodge numbers of a single weight, with optional middle split.
 
@@ -41,22 +37,26 @@ class WeightPiece:
     partial Hodge sum is one lookup (:meth:`below`).
     """
 
-    w: int
-    hpq: dict
-    middle_split: tuple | None = None
+    __slots__ = ("w", "hpq", "middle_split", "_ps", "_sums")
 
-    def __post_init__(self):
+    def __init__(self, w: int, hpq: dict, middle_split: tuple | None = None):
         clean = {}
-        for key, v in sorted(self.hpq.items()):
+        for key, v in sorted(hpq.items()):
             v = int(v)
             if v:
                 clean[(int(key[0]), int(key[1]))] = v
-        object.__setattr__(self, "hpq", clean)
-        object.__setattr__(self, "_ps", [p for p, _ in clean])
-        object.__setattr__(self, "_sums", [0, *accumulate(clean.values())])
-        if self.middle_split is not None:
-            ms = (int(self.middle_split[0]), int(self.middle_split[1]))
-            object.__setattr__(self, "middle_split", ms)
+        self.w = w
+        self.hpq = clean
+        self._ps = [p for p, _ in clean]
+        self._sums = [0, *accumulate(clean.values())]
+        self.middle_split = (None if middle_split is None else
+                             (int(middle_split[0]), int(middle_split[1])))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.w, self.hpq, self.middle_split)
+                == (other.w, other.hpq, other.middle_split))
 
     def middle(self) -> int:
         """h^{w/2,w/2}, or 0 for odd weight."""
@@ -74,23 +74,25 @@ class WeightPiece:
         return self._sums[-1]
 
 
-@dataclass(frozen=True)
 class HodgeData:
     """A named bundle of weight pieces over one archimedean place."""
 
-    name: str
-    dim: int
-    place: Place
-    weights: tuple
+    __slots__ = ("name", "dim", "place", "weights", "_index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "place", Place(self.place))
-        object.__setattr__(
-            self, "weights", tuple(sorted(self.weights, key=lambda p: p.w)))
-        index: dict = {}
+    def __init__(self, name: str, dim: int, place: Place, weights: tuple):
+        self.name = name
+        self.dim = dim
+        self.place = Place(place)
+        self.weights = tuple(sorted(weights, key=lambda p: p.w))
+        self._index = {}
         for p in self.weights:
-            index.setdefault(p.w, p)  # the first piece of a weight wins
-        object.__setattr__(self, "_index", index)
+            self._index.setdefault(p.w, p)  # the first piece of a weight wins
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.name, self.dim, self.place, self.weights)
+                == (other.name, other.dim, other.place, other.weights))
 
     def piece(self, w: int) -> WeightPiece:
         """The piece of weight w; an absent weight reads as the empty
@@ -306,13 +308,16 @@ def from_json_dict(doc) -> HodgeData:
         at = f"weights[{i}]"
         _expect(entry, dict, at)
         hpq = {}
+        # the JSON path of an entry is built only to report it
         for key, h in _get(entry, at, "hpq", dict).items():
-            path = f"{at}.hpq[{json.dumps(key)}]"
             try:
                 p, q = map(int, key.split(","))
             except ValueError:
-                raise ValueError(f'{path}: expected a key "p,q"') from None
-            hpq[(p, q)] = _expect(h, int, path)
+                raise ValueError(f'{at}.hpq[{json.dumps(key)}]: '
+                                 'expected a key "p,q"') from None
+            if type(h) is not int or abs(h) > 2 ** 53:
+                _expect(h, int, f"{at}.hpq[{json.dumps(key)}]")
+            hpq[(p, q)] = h
         split = entry.get("middle_split")
         if split is not None:
             path = f"{at}.middle_split"

@@ -21,11 +21,9 @@ direct Euler-Maclaurin summation, with no Gamma function anywhere, and
 serves as the independent numerical oracle for all of the above.
 """
 
-from __future__ import annotations
-
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .cyclic import Progression, SpectralMeasure
 from .gamma import GammaExpression, Tables
@@ -78,12 +76,8 @@ def ratio_tables(measure: SpectralMeasure) -> Tables:
         Tables(), measure.even), measure.odd, -1)
 
 
-class DeterminantRatio(NamedTuple):
-    """Block determinants of a full spectral measure."""
-
-    even: GammaExpression
-    odd: GammaExpression
-    ratio: GammaExpression
+#: Block determinants of a full spectral measure.
+DeterminantRatio = namedtuple("DeterminantRatio", "even odd ratio")
 
 
 def regdet_measure(measure: SpectralMeasure) -> DeterminantRatio:

@@ -12,10 +12,7 @@ mismatch shows, and log(LHS/RHS) at sample points checks the constant in
 floating point, where a sign disagreement under an exact match is a bug.
 """
 
-from __future__ import annotations
-
 import statistics
-from dataclasses import dataclass
 
 from .cyclic import weight_spectrum
 from .factors import serre_tables
@@ -25,15 +22,17 @@ from .hodge import HodgeData, Place, validate
 from .regdet import ratio_tables
 
 
-@dataclass(frozen=True)
 class SamplePoint:
-    s: float
-    lhs_log: float
-    rhs_log: float
-    signs_agree: bool
+    __slots__ = ("s", "lhs_log", "rhs_log", "signs_agree")
+
+    def __init__(self, s: float, lhs_log: float, rhs_log: float,
+                 signs_agree: bool):
+        self.s = s
+        self.lhs_log = lhs_log
+        self.rhs_log = rhs_log
+        self.signs_agree = signs_agree
 
 
-@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one verification run.
 
@@ -48,14 +47,21 @@ class VerificationReport:
     ``constant_stddev`` their spread; neither is asserted.
     """
 
-    name: str
-    divisor_match: bool
-    mismatch_witness: int | None
-    per_weight: tuple
-    residue: GammaExpression
-    constant_log: float
-    constant_stddev: float
-    samples: tuple
+    __slots__ = ("name", "divisor_match", "mismatch_witness", "per_weight",
+                 "residue", "constant_log", "constant_stddev", "samples")
+
+    def __init__(self, name: str, divisor_match: bool,
+                 mismatch_witness: int | None, per_weight: tuple,
+                 residue: GammaExpression, constant_log: float,
+                 constant_stddev: float, samples: tuple):
+        self.name = name
+        self.divisor_match = divisor_match
+        self.mismatch_witness = mismatch_witness
+        self.per_weight = per_weight
+        self.residue = residue
+        self.constant_log = constant_log
+        self.constant_stddev = constant_stddev
+        self.samples = samples
 
     def ok(self) -> bool:
         return all(match for _, match in self.per_weight)

@@ -1,14 +1,24 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import archfactor.cli as cli_module
+import archfactor.factors as factors_module
 import archfactor.verify as verify_module
-from archfactor import (PRESET_NAMES, Progression, SpectralMeasure, preset,
-                        to_json_dict, verify_theorem)
+from archfactor import (PRESET_NAMES, Place, Progression, SpectralMeasure,
+                        completed_alternating_product, preset, to_json_dict,
+                        verify_theorem)
 from archfactor.cli import main
+from archfactor.gamma import expression_to_json
+from helpers import full_diamond
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -49,6 +59,28 @@ def test_factors_json(capsys):
     doc = json.loads(out)
     assert doc["weights"]["0"]["gr"] == {"0": 1}
     assert doc["product"]["gr"] == {"0": -1}
+
+
+def test_factors_builds_each_local_factor_once(tmp_path, monkeypatch, capsys):
+    # the per-weight lines and the product share one Serre pass per weight
+    data = full_diamond(Place.REAL, 1, 6)
+    path = tmp_path / "d6.json"
+    path.write_text(json.dumps(to_json_dict(data)))
+    exact = factors_module.serre_tables
+    calls = []
+
+    def counted(piece, place, k=1):
+        calls.append(piece.w)
+        return exact(piece, place, k)
+
+    monkeypatch.setattr(cli_module, "serre_tables", counted)
+    monkeypatch.setattr(factors_module, "serre_tables", counted)
+    code, out, err = run(capsys, "factors", str(path), "--json")
+    assert code == 0 and err == ""
+    assert calls == list(range(13))
+    monkeypatch.undo()
+    assert json.loads(out)["product"] == expression_to_json(
+        completed_alternating_product(data))
 
 
 def test_deligne_command(capsys):
@@ -127,6 +159,16 @@ def test_regdet_command(capsys):
     assert doc["determinant"]["gr"] == {"0": -1}
     assert doc["determinant"]["pre"]["a2"] == "1/2"
     assert abs(doc["oracle_residual"]) < 1e-8
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--step", "0", "step must be >= 1, got 0"),
+    ("--mult", "-1", "negative multiplicity -1"),
+])
+def test_regdet_bad_progression_exit_two(capsys, flag, value, message):
+    code, out, err = run(capsys, "regdet", "--first", "0", flag, value)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_verify_ok_exit_zero(capsys):
@@ -362,6 +404,33 @@ def test_far_weight_verifies_quickly(tmp_path, capsys, doc):
                  '[{"w": 0, "hpq": {"0,0": 1' + "0" * 400 + '}}]}',
                  'weights[0].hpq["0,0"]: integer out of range (|n| > 2^53)',
                  id="huge_count"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"a,b": 1}}]}',
+                 'weights[0].hpq["a,b"]: expected a key "p,q"', id="bad_key"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,\\u00e9": 1}}]}',
+                 'weights[0].hpq["0,\\u00e9"]: expected a key "p,q"',
+                 id="non_ascii_key"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0,0": 1}}]}',
+                 'weights[0].hpq["0,0,0"]: expected a key "p,q"',
+                 id="three_part_key"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": "1"}}]}',
+                 "weights[0].hpq[\"0,0\"]: expected integer, got '1'",
+                 id="string_count"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": [1]}}]}',
+                 'weights[0].hpq["0,0"]: expected integer, got list',
+                 id="list_count"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": null}}]}',
+                 'weights[0].hpq["0,0"]: expected integer, got None',
+                 id="null_count"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": -9007199254740993}}]}',
+                 'weights[0].hpq["0,0"]: integer out of range (|n| > 2^53)',
+                 id="negative_huge_count"),
 ])
 def test_verify_malformed_document_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "doc.json"
@@ -418,3 +487,14 @@ def test_fuzzed_presets_exit_cleanly(tmp_path, capsys):
         assert len(error_lines(err)) <= 1, (text, err)
         codes.add(code)
     assert {0, 2} <= codes  # both valid and refused documents occur
+
+
+def test_import_pulls_in_no_dataclasses_or_typing():
+    # the start-up of every command pays for what the package imports;
+    # -S keeps site's own imports out of sys.modules
+    code = ("import archfactor.cli, sys; print(' '.join(sorted("
+            "{'dataclasses', 'inspect', 'typing'} & set(sys.modules))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []

@@ -154,6 +154,17 @@ def test_progression_membership():
     assert f.last() == 3
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 0, None, 1), "step must be >= 1, got 0"),
+    ((0, 1, -1, 1), "count must be >= 0 or None, got -1"),
+    ((0, 1, None, -1), "negative multiplicity -1"),
+])
+def test_progression_rejects_bad_fields(args, message):
+    with pytest.raises(ValueError) as info:
+        Progression(*args)
+    assert str(info.value) == message
+
+
 def test_point_complex_spectrum():
     measure = theta_spectrum(preset("point_C"))
     # one eigenvalue per nonpositive integer
