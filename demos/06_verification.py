@@ -13,8 +13,9 @@ sample points is reported alongside as an independent check.
 import math
 
 from archfactor import (PRESET_NAMES, HodgeData, Place, WeightPiece,
-                        completed_alternating_product, preset, regdet_measure,
-                        render, theta_spectrum, verify_theorem)
+                        completed_alternating_product, preset, render,
+                        theta_spectrum, verify_theorem)
+from archfactor.regdet import ratio_tables
 
 print(f"{'input':12s} {'residue':10s} {'divisor':8s} {'constant log':>14s}"
       f" {'spread':>9s}")
@@ -32,7 +33,7 @@ for name in ("point_R", "P1_R", "elliptic_R"):
 # both sides, written out for the elliptic curve over R
 data = preset("elliptic_R")
 lhs = completed_alternating_product(data)
-rhs = regdet_measure(theta_spectrum(data)).ratio
+rhs = ratio_tables(theta_spectrum(data)).expression()
 print(f"\nelliptic_R LHS: {render(lhs)}")
 print(f"elliptic_R RHS: {render(rhs)}")
 

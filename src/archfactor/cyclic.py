@@ -28,7 +28,7 @@ The scaling generator acts on the graded archimedean theory with
 integer eigenvalues; ``theta_spectrum`` reassembles its full spectral
 multiset, one parity per cohomological weight parity.  Each weight's
 multiplicities are encoded as infinite tails alone, a few per Hodge
-number (``weight_spectrum``), so no eigenvalue is listed one at a time.
+number (``weight_tails``), so no eigenvalue is listed one at a time.
 """
 
 from .deligne import deligne_dim
@@ -233,9 +233,9 @@ def same_spectrum(a: SpectralMeasure, b: SpectralMeasure) -> bool:
     return True
 
 
-def weight_spectrum(data: HodgeData, w: int) -> SpectralMeasure:
-    """Eigenvalue multiplicities contributed by a single weight, as
-    infinite tails only.
+def weight_tails(data: HodgeData, w: int) -> tuple:
+    """The eigenvalue multiplicities of a single weight as infinite tails
+    of one step: (step, [(first, multiplicity), ...]).
 
     The multiplicity at eigenvalue m <= floor(w/2) is the archimedean
     dimension at the index pair (w - 2m, w - m), i.e.
@@ -246,20 +246,25 @@ def weight_spectrum(data: HodgeData, w: int) -> SpectralMeasure:
     a real place the same with step-2 tails per residue class of m mod
     2, from c = floor(w/2) and c = floor(w/2) - 1, each h^{p,q} starting
     at the first m <= w - p of the class.  That is at most
-    2 * #h^{p,q} + 2 progressions, whatever w and dim are.
+    2 * #h^{p,q} + 2 nonzero tails, whatever w and dim are.
     """
     top = w // 2
     step, starts = ((1, (top,)) if data.place is Place.COMPLEX
                     else (2, (top, top - 1)))
     tails = []
     for c in starts:
-        tails.append((c, deligne_dim(data, w, w + 1 - c)))
+        if mult := deligne_dim(data, w, w + 1 - c):
+            tails.append((c, mult))
         tails.extend((w - p - (w - p - c) % step, 2 // step * h)
                      for (p, _), h in data.piece(w).hpq.items() if p > w - c)
-    # a list: tuple() of a generator resizes its result, which strands
-    # tuples of every size on CPython's free lists and raises peak RSS
-    progs = [Progression(first, step, None, mult)
-             for first, mult in tails if mult]
+    return step, tails
+
+
+def weight_spectrum(data: HodgeData, w: int) -> SpectralMeasure:
+    """:func:`weight_tails` as progressions, in the parity block of w."""
+    step, tails = weight_tails(data, w)
+    # a list: tuple(generator) strands resized tuples on free lists (peak RSS)
+    progs = [Progression(first, step, None, mult) for first, mult in tails]
     return SpectralMeasure((), progs) if w % 2 else SpectralMeasure(progs, ())
 
 

@@ -190,6 +190,15 @@ def nearest_divisor_point(x: GammaExpression):
     return None
 
 
+def gr_shifts(x) -> dict:
+    """x's GR exponents by shift once each GC(z) is 2^(-1) GR(z) GR(z+1)."""
+    shifts = dict(x.gr)
+    for a, e in x.gc.items():
+        shifts[a] = shifts.get(a, 0) + e
+        shifts[a + 1] = shifts.get(a + 1, 0) + e
+    return shifts
+
+
 def normal_tables(x) -> Tables:
     """The tables of the canonical form GR(s)^u * GR(s+1)^v * linear
     factors * prefactor of x, a Tables or a GammaExpression.
@@ -201,10 +210,7 @@ def normal_tables(x) -> Tables:
     to the left the pole orders fix u and v, the rational part fixes the
     linear factors, and what is left, 2^a2, fixes a2.
     """
-    shifts = dict(x.gr)
-    for a, e in x.gc.items():
-        shifts[a] = shifts.get(a, 0) + e
-        shifts[a + 1] = shifts.get(a + 1, 0) + e
+    shifts = gr_shifts(x)
     gr: dict = {}
     lin = dict(x.lin)
     for r in (0, 1):

@@ -308,8 +308,9 @@ def from_json_dict(doc) -> HodgeData:
         at = f"weights[{i}]"
         _expect(entry, dict, at)
         hpq = {}
+        raw = _get(entry, at, "hpq", dict)
         # the JSON path of an entry is built only to report it
-        for key, h in _get(entry, at, "hpq", dict).items():
+        for key, h in raw.items():
             try:
                 p, q = map(int, key.split(","))
             except ValueError:
@@ -318,6 +319,13 @@ def from_json_dict(doc) -> HodgeData:
             if type(h) is not int or abs(h) > 2 ** 53:
                 _expect(h, int, f"{at}.hpq[{json.dumps(key)}]")
             hpq[(p, q)] = h
+        if len(hpq) < len(raw):  # int() read two keys as one (p, q)
+            firsts = {}
+            for key in raw:
+                pq = tuple(map(int, key.split(",")))
+                if firsts.setdefault(pq, key) is not key:
+                    raise ValueError(f"{at}.hpq[{json.dumps(key)}]: names the "
+                                     f"same (p, q) = {pq} as an earlier key")
         split = entry.get("middle_split")
         if split is not None:
             path = f"{at}.middle_split"

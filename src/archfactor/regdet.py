@@ -22,7 +22,6 @@ serves as the independent numerical oracle for all of the above.
 """
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .cyclic import Progression, SpectralMeasure
@@ -41,27 +40,32 @@ _B_EVEN = (
 )
 
 
+def add_tail_determinants(out: Tables, step: int, tails, k: int = 1) -> Tables:
+    """Multiply the k-th power of the block determinant of each infinite
+    tail (first, multiplicity) of one step into ``out``, in closed form."""
+    if step not in (1, 2):
+        raise ValueError(
+            f"no closed form for infinite step-{step} progressions")
+    table = out.gc if step == 1 else out.gr
+    for first, mu in tails:
+        table[-first] = table.get(-first, 0) - k * mu
+    if step == 2:
+        out.a2 += Fraction(k * sum(mu for _, mu in tails), 2)
+    return out
+
+
 def add_block_determinants(out: Tables, progressions, k: int = 1) -> Tables:
     """Multiply the k-th power of each progression's block determinant
-    into ``out``, in closed form."""
-    halves = 0
+    into ``out``, a finite one as a plain product."""
     for p in progressions:
         mu = k * p.multiplicity
         if mu == 0 or p.count == 0:
             continue
-        if p.count is not None:
+        if p.count is None:
+            add_tail_determinants(out, p.step, ((p.first, mu),))
+        else:
             for m in range(p.first, p.first - p.count * p.step, -p.step):
                 out.lin[m] = out.lin.get(m, 0) + mu
-        elif p.step == 1:
-            out.gc[-p.first] = out.gc.get(-p.first, 0) - mu
-        elif p.step == 2:
-            out.gr[-p.first] = out.gr.get(-p.first, 0) - mu
-            halves += mu
-        else:
-            raise ValueError(
-                f"no closed form for infinite step-{p.step} progressions")
-    if halves:
-        out.a2 += Fraction(halves, 2)
     return out
 
 
@@ -74,17 +78,6 @@ def ratio_tables(measure: SpectralMeasure) -> Tables:
     """Tables of the even/odd ratio of block determinants."""
     return add_block_determinants(add_block_determinants(
         Tables(), measure.even), measure.odd, -1)
-
-
-#: Block determinants of a full spectral measure.
-DeterminantRatio = namedtuple("DeterminantRatio", "even odd ratio")
-
-
-def regdet_measure(measure: SpectralMeasure) -> DeterminantRatio:
-    """Determinant of each parity block and the even/odd ratio."""
-    even, odd = (add_block_determinants(Tables(), part).expression()
-                 for part in (measure.even, measure.odd))
-    return DeterminantRatio(even, odd, ratio_tables(measure).expression())
 
 
 def hurwitz_zeta_deriv0(x: float, two_pi_over_delta: float) -> float:

@@ -1,43 +1,38 @@
 """End-to-end check that the completed Gamma-factor product and the
 regularized-determinant ratio agree.
 
-The left side multiplies the classical local factors with alternating
-exponents; the right side regularizes the spectrum of the scaling
-generator block by block.  The verdict is exact and per weight: the
-normal form of LHS_w / RHS_w must be a constant the theorem allows, 1
-over C and a power of sqrt(2) over R.  Two readings are reported
-alongside, neither gating the verdict: the divisor of the whole residue
-LHS / RHS, read off its normal form, names the point nearest 0 where a
-mismatch shows, and log(LHS/RHS) at sample points checks the constant in
-floating point, where a sign disagreement under an exact match is a bug.
+Weight w gives LHS_w / RHS_w = (L_w * D_w)^k, k = (-1)^(w+1), for its local
+factor L_w and the block determinants D_w of its tails.  Each weight's
+verdict is exact, against the constant the closed forms force: a step-1
+tail of multiplicity mu gives GC(s - m0)^(-mu), a step-2 tail
+2^(mu/2) * GR(s - m0)^(-mu), and GR(z) * GR(z+1) = 2 * GC(z).  Over C all
+factors are GCs, which cancel to 1.  Over R, L_w has h = h^{w/2,w/2} GRs
+and P = sum_{p<q} h^{p,q} GCs; in GRs the sides cancel only if the tails'
+multiplicities sum to 2P + h, leaving 2^(k((2P + h)/2 - P)) = 2^(-h/2), as
+h = 0 for odd w.  The residue LHS / RHS names its zero or pole nearest 0,
+and samples of log(LHS/RHS) check the constant and signs in floats.
 """
 
 import statistics
+from collections import namedtuple
 
-from .cyclic import weight_spectrum
+from .cyclic import weight_tails
 from .factors import serre_tables
 from .gamma import (LN2, SINGULARITY_GUARD, GammaExpression, Tables,
-                    evaluate_log, nearest_divisor_point, normal_tables, render)
+                    evaluate_log, gr_shifts, nearest_divisor_point,
+                    normal_tables, render)
 from .hodge import HodgeData, Place, validate
-from .regdet import ratio_tables
+from .regdet import add_tail_determinants
 
 
-class SamplePoint:
-    __slots__ = ("s", "lhs_log", "rhs_log", "signs_agree")
-
-    def __init__(self, s: float, lhs_log: float, rhs_log: float,
-                 signs_agree: bool):
-        self.s = s
-        self.lhs_log = lhs_log
-        self.rhs_log = rhs_log
-        self.signs_agree = signs_agree
+SamplePoint = namedtuple("SamplePoint", "s lhs_log rhs_log signs_agree")
 
 
 class VerificationReport:
     """Outcome of one verification run.
 
     ``per_weight`` says for each weight present in the input whether
-    normalize(LHS_w / RHS_w) is an allowed constant; :meth:`ok` is
+    LHS_w / RHS_w is exactly the predicted constant; :meth:`ok` is
     exactly the conjunction of these.  ``residue`` is their product,
     LHS / RHS.  ``divisor_match`` says whether the residue has neither
     zeros nor poles, which :meth:`ok` implies; if it has,
@@ -83,16 +78,11 @@ class VerificationReport:
         }
 
 
-def _is_constant(x) -> bool:
-    """Whether the normal form x, tables or expression, is free of s."""
-    return not any((*x.gr.values(), *x.lin.values()))
-
-
-def _is_allowed_constant(residue, place: Place) -> bool:
-    """Whether a normal form is 2^(k/2) for an integer k, with k = 0 at
-    a complex place: the constants the theorem allows."""
-    return (_is_constant(residue) and (2 * residue.a2).denominator == 1
-            and (place is Place.REAL or residue.a2 == 0))
+def _cancels(x: Tables, h: int) -> bool:
+    """Whether x is 2^(-h/2) with every GR shift (GCs written as GRs) and
+    linear exponent 0: normalize(x) == 2^(-h/2) when x has no linear factor."""
+    return (not any(gr_shifts(x).values()) and not any(x.lin.values())
+            and 2 * (x.a2 - sum(x.gc.values())) == -h)
 
 
 def verify_theorem(data: HodgeData, samples=None,
@@ -100,15 +90,13 @@ def verify_theorem(data: HodgeData, samples=None,
     """Compare the completed factor product against the determinant
     ratio of the scaling spectrum, weight by weight and exactly.
 
-    Only the weights present in the data are visited, each building its
-    local factor and its spectrum once: an absent weight is 1 on both
+    Only the weights present in the data are visited, each building one
+    exponent table x_w = LHS_w / RHS_w: an absent weight is 1 on both
     sides, so the cost follows the nonzero Hodge data, and ``dim`` only
-    places the default sample points, to the right of every zero and
-    pole.  Each weight adds into integer exponent tables; only LHS, RHS
-    and residue are built as expressions.
+    places the default sample points, right of every zero and pole.  The
+    residue is the normal form of prod_w x_w, RHS = LHS / prod_w x_w.
     """
-    bad = validate(data)
-    if bad:
+    if bad := validate(data):
         raise ValueError("invalid data: " + "; ".join(bad))
 
     if samples is None:
@@ -118,20 +106,21 @@ def verify_theorem(data: HodgeData, samples=None,
         if not samples:
             raise ValueError("need at least one sample point")
 
-    lhs, rhs, residue = Tables(), Tables(), Tables()
+    lhs, quotient = Tables(), Tables()
     per_weight = []
     for piece in data.weights:
-        w = piece.w
-        lhs.add(lhs_w := serre_tables(piece, data.place, 1 if w % 2 else -1))
-        rhs.add(rhs_w := ratio_tables(weight_spectrum(data, w)))
-        residue_w = normal_tables(lhs_w.add(rhs_w, -1))
-        per_weight.append((w, _is_allowed_constant(residue_w, data.place)))
-        residue.add(residue_w)
+        k = 1 if piece.w % 2 else -1
+        lhs.add(x := serre_tables(piece, data.place, k))
+        add_tail_determinants(x, *weight_tails(data, piece.w), k)
+        per_weight.append((piece.w, _cancels(
+            x, piece.middle() if data.place is Place.REAL else 0)))
+        quotient.add(x)
+    rhs = Tables().add(lhs).add(quotient, -1)
+    residue = normal_tables(quotient)
     lhs, rhs, residue = (t.expression() for t in (lhs, rhs, residue))
     witness = nearest_divisor_point(residue)
 
-    points = []
-    diffs = []
+    points, diffs = [], []
     for s in samples:
         l_log, l_sign = evaluate_log(lhs, s, guard)
         r_log, r_sign = evaluate_log(rhs, s, guard)
@@ -147,8 +136,8 @@ def verify_theorem(data: HodgeData, samples=None,
         mismatch_witness=witness,
         per_weight=tuple(per_weight),
         residue=residue,
-        constant_log=(float(residue.a2) * LN2 if _is_constant(residue)
-                      else statistics.fmean(diffs)),
+        constant_log=(statistics.fmean(diffs) if residue.gr or residue.lin
+                      else float(residue.a2) * LN2),
         constant_stddev=statistics.pstdev(diffs),
         samples=tuple(points),
     )

@@ -431,6 +431,15 @@ def test_far_weight_verifies_quickly(tmp_path, capsys, doc):
                  '[{"w": 0, "hpq": {"0,0": -9007199254740993}}]}',
                  'weights[0].hpq["0,0"]: integer out of range (|n| > 2^53)',
                  id="negative_huge_count"),
+    pytest.param('{"dim": 0, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": 1, " 0,0": 5}}]}',
+                 'weights[0].hpq[" 0,0"]: names the same (p, q) = (0, 0) '
+                 'as an earlier key', id="duplicate_key_space"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": 1}}, {"w": 1, "hpq": '
+                 '{"1,0": 1, "0,1": 1, "0,+1": 2}}]}',
+                 'weights[1].hpq["0,+1"]: names the same (p, q) = (0, 1) '
+                 'as an earlier key', id="duplicate_key_sign"),
 ])
 def test_verify_malformed_document_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "doc.json"

@@ -193,6 +193,19 @@ def test_json_malformed_rejected():
                         "weights": [{"w": 0}]})
 
 
+def test_json_duplicate_hpq_key_rejected():
+    # int() reads " 0", "+0" and "0_0" as 0: the second spelling of a key
+    # would silently replace the first
+    for spelling in (" 0,0", "0, 0", "+0,0", "0_0,0"):
+        doc = {"dim": 0, "place": "complex",
+               "weights": [{"w": 0, "hpq": {"0,0": 1, spelling: 5}}]}
+        with pytest.raises(ValueError) as info:
+            from_json_dict(doc)
+        assert str(info.value) == (
+            f'weights[0].hpq[{json.dumps(spelling)}]: names the same '
+            '(p, q) = (0, 0) as an earlier key')
+
+
 def test_weight_piece_canonical_form():
     a = WeightPiece(2, {(1, 1): 1, (2, 0): 0, (0, 2): 0})
     b = WeightPiece(2, {(1, 1): 1})

@@ -5,8 +5,9 @@ import pytest
 
 from archfactor import (GammaExpression, Progression, SpectralMeasure,
                         evaluate_log, gamma_c, gamma_r, identity,
-                        hurwitz_zeta_deriv0, normalize, order_at, product,
-                        regdet_measure, regdet_progression)
+                        hurwitz_zeta_deriv0, normalize, order_at, power,
+                        product, regdet_progression)
+from archfactor.regdet import ratio_tables
 from fractions import Fraction
 
 
@@ -124,10 +125,12 @@ def test_measure_determinants_and_ratio():
         even=(Progression(0, 1, None, 1),),
         odd=(Progression(-1, 1, None, 2), Progression(1, 1, 1, 1)),
     )
-    parts = regdet_measure(measure)
-    assert parts.even == gamma_c(0, -1)
-    assert parts.odd == GammaExpression(gc={1: -2}, lin={1: 1})
-    assert parts.ratio == GammaExpression(gc={0: -1, 1: 2}, lin={1: -1})
+    even = ratio_tables(SpectralMeasure(measure.even, ())).expression()
+    odd = ratio_tables(SpectralMeasure((), measure.odd)).expression()
+    assert even == gamma_c(0, -1)
+    assert power(odd, -1) == GammaExpression(gc={1: -2}, lin={1: 1})
+    assert (ratio_tables(measure).expression()
+            == GammaExpression(gc={0: -1, 1: 2}, lin={1: -1}))
 
 
 def test_measure_determinant_multiplicative():
@@ -138,11 +141,11 @@ def test_measure_determinant_multiplicative():
                         rng.choice([None, rng.randint(1, 4)]),
                         rng.randint(1, 3))
             for _ in range(4))
-        whole = regdet_measure(SpectralMeasure(progs, ()))
+        whole = ratio_tables(SpectralMeasure(progs, ())).expression()
         split = identity()
         for p in progs:
             split = product((split, regdet_progression(p)))
-        assert whole.even == split
+        assert whole == split
 
 
 def test_divisor_of_determinant_is_multiplicity():
@@ -155,6 +158,6 @@ def test_divisor_of_determinant_is_multiplicity():
             count = rng.choice([None, rng.randint(1, 5)])
             progs.append(Progression(first, step, count, rng.randint(1, 3)))
         measure = SpectralMeasure(tuple(progs), ())
-        det = regdet_measure(measure).even
+        det = ratio_tables(measure).expression()
         for m in range(-20, 6):
             assert order_at(det, m) == measure.multiplicity(0, m)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,11 +9,11 @@ import archfactor.factors as factors_module
 import archfactor.gamma as gamma_module
 import archfactor.verify as verify_module
 from archfactor import (PRESET_NAMES, GammaExpression, HodgeData, Place,
-                        Progression, SingularEvaluationError, SpectralMeasure,
-                        WeightPiece, gamma_c, gamma_r, linear,
-                        nearest_divisor_point, normalize, power, prefactor,
-                        preset, product, regdet_measure, serre_factor,
-                        verify_theorem, weight_spectrum)
+                        Progression, SingularEvaluationError, WeightPiece,
+                        gamma_c, gamma_r, linear, nearest_divisor_point,
+                        normalize, power, prefactor, preset, product,
+                        serre_factor, verify_theorem, weight_spectrum)
+from archfactor.regdet import ratio_tables
 from helpers import full_diamond, random_hodge_data
 
 
@@ -72,18 +73,16 @@ def test_huge_hodge_numbers_verify():
 
 
 def test_wrong_multiplicity_fails_its_weight(monkeypatch):
-    exact = verify_module.weight_spectrum
+    exact = verify_module.weight_tails
 
     def skewed(data, w):
-        measure = exact(data, w)
+        step, tails = exact(data, w)
         if w != 1:
-            return measure
-        first, *rest = measure.odd
-        bumped = Progression(first.first, first.step, first.count,
-                             first.multiplicity + 1)
-        return SpectralMeasure(measure.even, (bumped, *rest))
+            return step, tails
+        (first, mult), *rest = tails
+        return step, [(first, mult + 1), *rest]
 
-    monkeypatch.setattr(verify_module, "weight_spectrum", skewed)
+    monkeypatch.setattr(verify_module, "weight_tails", skewed)
     report = verify_theorem(preset("elliptic_R"))
     assert report.ok() is False
     assert dict(report.per_weight) == {0: True, 1: False, 2: True}
@@ -91,20 +90,42 @@ def test_wrong_multiplicity_fails_its_weight(monkeypatch):
 
 @pytest.mark.parametrize("name, a2, allowed", [
     ("point_C", "1/2", False),  # over C the constant is exactly 1
-    ("point_R", "1/2", True),   # over R any power of sqrt(2) is allowed
+    ("point_R", "1/2", False),  # over R exactly 2^(-h^{0,0}/2), no other
     ("point_R", "1/4", False),
+    ("point_R", "0", True),
 ])
 def test_constant_is_asserted(monkeypatch, name, a2, allowed):
-    exact = verify_module.ratio_tables
+    exact = verify_module.add_tail_determinants
 
-    def scaled(measure):
-        return exact(measure).add(prefactor(a2=a2))
+    def scaled(out, step, tails, k=1):
+        # every block determinant of the weight times 2^a2
+        return exact(out, step, tails, k).add(prefactor(a2=a2), k)
 
-    monkeypatch.setattr(verify_module, "ratio_tables", scaled)
+    monkeypatch.setattr(verify_module, "add_tail_determinants", scaled)
     report = verify_theorem(preset(name))
     assert report.divisor_match
     assert report.ok() is allowed
     assert dict(report.per_weight) == {0: allowed}
+
+
+def test_dropped_step_two_constant_is_a_mismatch(monkeypatch):
+    # a step-2 block without its 2^(mu/2) still has the right divisor
+    # and leaves a power of sqrt(2), but not the one the theorem predicts
+    exact = verify_module.add_tail_determinants
+
+    def dropped(out, step, tails, k=1):
+        a2 = out.a2
+        exact(out, step, tails, k)
+        out.a2 = a2
+        return out
+
+    monkeypatch.setattr(verify_module, "add_tail_determinants", dropped)
+    for name in PRESET_NAMES:
+        report = verify_theorem(preset(name))
+        real = preset(name).place is Place.REAL
+        assert report.divisor_match, name
+        assert report.ok() is not real, name
+        assert all(match is not real for _, match in report.per_weight), name
 
 
 def test_samples_agree_with_exact_constant():
@@ -180,14 +201,15 @@ def test_divisor_work_follows_the_data_not_dim(monkeypatch):
     pytest.param(-42, id="left_of_tails"),
 ])
 def test_stray_root_is_witnessed(monkeypatch, offset):
-    exact = verify_module.ratio_tables
+    exact = verify_module.add_tail_determinants
     data = preset("P2_C")
     root = data.dim + offset
 
-    def shifted(measure):
-        return exact(measure).add(linear(root))
+    def shifted(out, step, tails, k=1):
+        # a linear factor ((s - root)/2pi) in each weight's RHS
+        return exact(out, step, tails, k).add(linear(root), -1)
 
-    monkeypatch.setattr(verify_module, "ratio_tables", shifted)
+    monkeypatch.setattr(verify_module, "add_tail_determinants", shifted)
     report = verify_theorem(data)
     assert report.divisor_match is False
     assert report.mismatch_witness == root
@@ -196,35 +218,86 @@ def test_stray_root_is_witnessed(monkeypatch, offset):
 
 def test_integer_tables_match_the_expression_route(monkeypatch):
     # each weight's verdict, the residue and the RHS against the route
-    # through one GammaExpression per block: normalize(LHS_w / RHS_w)
+    # through one GammaExpression per block: normalize(LHS_w / RHS_w),
+    # on correct spectra and on spectra with one tail bumped
     evaluated = []
-    exact = verify_module.evaluate_log
+    exact_log = verify_module.evaluate_log
 
     def recorded(x, s, guard):
         evaluated.append(x)
-        return exact(x, s, guard)
+        return exact_log(x, s, guard)
+
+    bumps = {}
+    exact_tails = cyclic_module.weight_tails
+
+    def bumped(data, w):
+        step, tails = exact_tails(data, w)
+        if w in bumps and tails:
+            i, dfirst, dmult = bumps[w]
+            first, mult = tails[i % len(tails)]
+            tails = list(tails)
+            tails[i % len(tails)] = (first + dfirst, mult + dmult)
+        return step, tails
 
     monkeypatch.setattr(verify_module, "evaluate_log", recorded)
+    monkeypatch.setattr(verify_module, "weight_tails", bumped)
+    monkeypatch.setattr(cyclic_module, "weight_tails", bumped)
     rng = random.Random(804)
     datasets = [random_hodge_data(rng, max_dim=4, max_entry=10 ** 6,
                                   place=(Place.REAL, Place.COMPLEX)[i % 2])
-                for i in range(200)]
+                for i in range(300)]
     datasets += [full_diamond(place, 1 + d, d)
                  for d in range(9) for place in Place]
-    for data in datasets:
+    mismatched = bumped_docs = 0
+    for i, data in enumerate(datasets):
+        bumps.clear()
+        if i % 3 == 0 and data.weights:
+            w = rng.choice(data.weights).w
+            bumps[w] = rng.randrange(8), *rng.choice(((0, 1), (1, 0), (-1, 0)))
+            bumped_docs += 1
         evaluated.clear()
         report = verify_theorem(data, samples=(data.dim + 0.7,))
         ratios, residues, per_weight = [], [], []
         for piece in data.weights:
             w = piece.w
             lhs_w = power(serre_factor(piece, data.place), 1 if w % 2 else -1)
-            ratios.append(regdet_measure(weight_spectrum(data, w)).ratio)
+            ratios.append(ratio_tables(weight_spectrum(data, w)).expression())
             residues.append(normalize(product((lhs_w, power(ratios[-1], -1)))))
-            per_weight.append((w, verify_module._is_allowed_constant(
-                residues[-1], data.place)))
+            h = piece.middle() if data.place is Place.REAL else 0
+            per_weight.append((w, residues[-1] == prefactor(Fraction(-h, 2))))
         assert report.per_weight == tuple(per_weight), data
         assert report.residue == product(residues), data
         assert evaluated[1] == product(ratios), data
+        mismatched += not report.ok()
+    assert mismatched == bumped_docs > 80
+
+
+def test_verify_builds_no_progression_and_one_normal_form(monkeypatch):
+    progressions, normal_forms = [], []
+    exact_init = Progression.__init__
+    exact_normal = verify_module.normal_tables
+
+    def counted_init(self, *args):
+        progressions.append(args)
+        exact_init(self, *args)
+
+    def counted_normal(x):
+        normal_forms.append(x)
+        return exact_normal(x)
+
+    monkeypatch.setattr(Progression, "__init__", counted_init)
+    monkeypatch.setattr(verify_module, "normal_tables", counted_normal)
+    rng = random.Random(805)
+    datasets = [preset(name) for name in PRESET_NAMES]
+    datasets += [random_hodge_data(rng, max_dim=4) for _ in range(20)]
+    datasets += [full_diamond(place, 7, 12) for place in Place]
+    for data in datasets:
+        normal_forms.clear()
+        verify_theorem(data)
+        assert len(normal_forms) == 1, data
+    assert progressions == []
+    weight_spectrum(preset("P2_C"), 2)  # the wrapper itself still counts
+    assert progressions
 
 
 def test_expressions_built_do_not_follow_the_progressions(monkeypatch):
