@@ -16,8 +16,8 @@ from .cyclic import Progression, theta_spectrum, weight_spectrum
 from .deligne import deligne_dim, pole_order
 from .factors import completed_alternating_product, serre_tables
 from .gamma import SINGULARITY_GUARD, evaluate_log, render
-from .hodge import (HodgeData, PRESET_NAMES, from_json_dict, preset,
-                    to_json_dict, validate)
+from .hodge import (HodgeData, PRESET_NAMES, from_json_dict, json_object,
+                    preset, to_json_dict, validate)
 from .regdet import hurwitz_zeta_deriv0, regdet_progression
 from .verify import verify_theorem
 
@@ -43,7 +43,7 @@ def load_input(spec: str) -> HodgeData:
             raise InputError(exc.args[0]) from exc
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=json_object)
     except OSError as exc:
         raise InputError(f"cannot read {spec}: {exc}") from exc
     except json.JSONDecodeError as exc:

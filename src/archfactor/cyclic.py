@@ -31,6 +31,9 @@ multiplicities are encoded as infinite tails alone, a few per Hodge
 number (``weight_tails``), so no eigenvalue is listed one at a time.
 """
 
+from bisect import bisect_right
+from itertools import islice
+
 from .deligne import deligne_dim
 from .hodge import HodgeData, Place, betti, betti_eigen
 
@@ -248,7 +251,7 @@ def weight_tails(data: HodgeData, w: int) -> tuple:
     at the first m <= w - p of the class.  That is at most
     2 * #h^{p,q} + 2 nonzero tails, whatever w and dim are.
     """
-    top = w // 2
+    top, piece = w // 2, data.piece(w)
     step, starts = ((1, (top,)) if data.place is Place.COMPLEX
                     else (2, (top, top - 1)))
     tails = []
@@ -256,7 +259,8 @@ def weight_tails(data: HodgeData, w: int) -> tuple:
         if mult := deligne_dim(data, w, w + 1 - c):
             tails.append((c, mult))
         tails.extend((w - p - (w - p - c) % step, 2 // step * h)
-                     for (p, _), h in data.piece(w).hpq.items() if p > w - c)
+                     for (p, _), h in islice(piece.hpq.items(), bisect_right(
+                         piece._ps, w - c), None))
     return step, tails
 
 

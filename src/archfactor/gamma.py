@@ -116,16 +116,18 @@ def prefactor(a2=0) -> GammaExpression:
 
 
 class Tables:
-    """The fields of a :class:`GammaExpression`, mutable and uncleaned:
-    a product costs one dict update per term and one cleaning at the end."""
+    """The fields of a :class:`GammaExpression`, mutable and uncleaned,
+    with the prefactor 2^(halves/2), ``halves`` an int unless a power of 2
+    that is not a half comes in: a product costs one dict update per term
+    and one cleaning at the end."""
 
-    __slots__ = ("gr", "gc", "lin", "a2")
+    __slots__ = ("gr", "gc", "lin", "halves")
 
-    def __init__(self, gr=None, gc=None, lin=None, a2=Fraction(0)):
+    def __init__(self, gr=None, gc=None, lin=None, halves=0):
         self.gr = {} if gr is None else gr
         self.gc = {} if gc is None else gc
         self.lin = {} if lin is None else lin
-        self.a2 = a2
+        self.halves = halves
 
     def add(self, x, k: int = 1) -> "Tables":
         """Multiply x^k in, for x a Tables or a GammaExpression."""
@@ -133,12 +135,13 @@ class Tables:
                            (self.lin, x.lin)):
             for key, e in table.items():
                 out[key] = out.get(key, 0) + k * e
-        if x.a2:
-            self.a2 += k * x.a2
+        h = k * x.halves if type(x) is Tables else 2 * k * x.a2
+        self.halves += int(h) if h == int(h) else h
         return self
 
     def expression(self) -> GammaExpression:
-        return GammaExpression(self.gr, self.gc, self.lin, self.a2)
+        return GammaExpression(self.gr, self.gc, self.lin,
+                               Fraction(self.halves, 2))
 
 
 def product(factors) -> GammaExpression:
@@ -190,18 +193,9 @@ def nearest_divisor_point(x: GammaExpression):
     return None
 
 
-def gr_shifts(x) -> dict:
-    """x's GR exponents by shift once each GC(z) is 2^(-1) GR(z) GR(z+1)."""
-    shifts = dict(x.gr)
-    for a, e in x.gc.items():
-        shifts[a] = shifts.get(a, 0) + e
-        shifts[a + 1] = shifts.get(a + 1, 0) + e
-    return shifts
-
-
-def normal_tables(x) -> Tables:
+def normal_tables(x: Tables) -> Tables:
     """The tables of the canonical form GR(s)^u * GR(s+1)^v * linear
-    factors * prefactor of x, a Tables or a GammaExpression.
+    factors * prefactor of x.
 
     Duplication, GC(z) = 2^(-1) GR(z) GR(z+1), removes every GC; the
     step-2 shift, GR(z+2) = (z/2pi) GR(z), moves GR(s+a) to
@@ -210,7 +204,10 @@ def normal_tables(x) -> Tables:
     to the left the pole orders fix u and v, the rational part fixes the
     linear factors, and what is left, 2^a2, fixes a2.
     """
-    shifts = gr_shifts(x)
+    shifts = dict(x.gr)
+    for a, e in x.gc.items():
+        shifts[a] = shifts.get(a, 0) + e
+        shifts[a + 1] = shifts.get(a + 1, 0) + e
     gr: dict = {}
     lin = dict(x.lin)
     for r in (0, 1):
@@ -223,13 +220,12 @@ def normal_tables(x) -> Tables:
             below += group.get(b, 0)
             if e := (total if b >= r else 0) - below:
                 lin[-b] = lin.get(-b, 0) + e
-    a2 = x.a2 - sum(x.gc.values())
-    return Tables(gr, {}, lin, a2)
+    return Tables(gr, {}, lin, x.halves - 2 * sum(x.gc.values()))
 
 
 def normalize(x: GammaExpression) -> GammaExpression:
     """The canonical form of x; see :func:`normal_tables`."""
-    return normal_tables(x).expression()
+    return normal_tables(Tables().add(x)).expression()
 
 
 def loggamma_signed(z: float):

@@ -34,17 +34,21 @@ class WeightPiece:
     dropped on construction so equal pieces compare equal.  ``middle_split``
     is only meaningful for even w at a real place.  The p indices are
     kept in ascending order with the running sums of h^{p,q}, so every
-    partial Hodge sum is one lookup (:meth:`below`).
+    partial Hodge sum is one lookup (:meth:`below`).  The constructor
+    also notes whether every entry passes :func:`validate`'s entry checks.
     """
 
-    __slots__ = ("w", "hpq", "middle_split", "_ps", "_sums")
+    __slots__ = ("w", "hpq", "middle_split", "_regular", "_ps", "_sums")
 
     def __init__(self, w: int, hpq: dict, middle_split: tuple | None = None):
         clean = {}
-        for key, v in sorted(hpq.items()):
-            v = int(v)
+        self._regular = True
+        for (p, q), v in sorted(hpq.items()):
             if v:
-                clean[(int(key[0]), int(key[1]))] = v
+                clean[p, q] = v
+                if not (v > 0 and 0 <= p <= w == p + q
+                        and hpq.get((q, p)) == v):
+                    self._regular = False
         self.w = w
         self.hpq = clean
         self._ps = [p for p, _ in clean]
@@ -139,6 +143,8 @@ def validate(data: HodgeData, check_poincare: bool = False) -> list:
     whenever the middle Hodge number is nonzero, absent at a complex
     place and on odd weights).  Poincare duality b_w = b_{2d-w} is an
     opt-in lint, since sub-motives of a variety need not satisfy it.
+    A piece's entries are checked one by one only if its constructor
+    flagged one of them, so valid data costs O(#weights) to validate.
     """
     bad = []
     if data.dim < 0:
@@ -151,7 +157,7 @@ def validate(data: HodgeData, check_poincare: bool = False) -> list:
         seen.add(piece.w)
         if not 0 <= piece.w <= 2 * data.dim:
             bad.append(f"{tag}: weight outside [0, {2*data.dim}]")
-        for (p, q), h in piece.hpq.items():
+        for (p, q), h in () if piece._regular else piece.hpq.items():
             if p < 0 or q < 0 or p + q != piece.w:
                 bad.append(f"{tag}.hpq[{p},{q}]: indices do not match weight")
             if h < 0:
@@ -271,9 +277,22 @@ def to_json_dict(data: HodgeData) -> dict:
 _JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer"}
 
 
+class _Repeats(list):
+    """The (key, value) pairs of a JSON object that repeats a key."""
+
+
+def json_object(pairs: list) -> dict:
+    """``object_pairs_hook`` for :mod:`json`: marks a repeated key."""
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else _Repeats(pairs)
+
+
 def _expect(value, kind: type, path: str):
     # an exact type test: JSON true/false are bools, a subclass of int
     if type(value) is not kind:
+        if type(value) is _Repeats:
+            key = next(k for k, _ in value if sum(j == k for j, _ in value) > 1)
+            raise ValueError(f"{path}: repeats the key {json.dumps(key)}")
         got = (_JSON_NAMES[type(value)] if isinstance(value, (dict, list))
                else repr(value))
         raise ValueError(f"{path}: expected {_JSON_NAMES[kind]}, got {got}")

@@ -22,7 +22,6 @@ serves as the independent numerical oracle for all of the above.
 """
 
 import math
-from fractions import Fraction
 
 from .cyclic import Progression, SpectralMeasure
 from .gamma import GammaExpression, Tables
@@ -50,7 +49,7 @@ def add_tail_determinants(out: Tables, step: int, tails, k: int = 1) -> Tables:
     for first, mu in tails:
         table[-first] = table.get(-first, 0) - k * mu
     if step == 2:
-        out.a2 += Fraction(k * sum(mu for _, mu in tails), 2)
+        out.halves += k * sum(mu for _, mu in tails)
     return out
 
 

@@ -9,8 +9,11 @@ tail of multiplicity mu gives GC(s - m0)^(-mu), a step-2 tail
 factors are GCs, which cancel to 1.  Over R, L_w has h = h^{w/2,w/2} GRs
 and P = sum_{p<q} h^{p,q} GCs; in GRs the sides cancel only if the tails'
 multiplicities sum to 2P + h, leaving 2^(k((2P + h)/2 - P)) = 2^(-h/2), as
-h = 0 for odd w.  The residue LHS / RHS names its zero or pole nearest 0,
-and samples of log(LHS/RHS) check the constant and signs in floats.
+h = 0 for odd w.  The residue LHS / RHS is the normal form of the product
+of the weights' quotients; as the normal form is linear in the exponents,
+a matching weight (normal form 2^(-h/2)) adds only -h/2 to its exponent
+of 2.  It names its zero or pole nearest 0; samples of log(LHS/RHS) check
+the constant and signs in floats.
 """
 
 import statistics
@@ -18,9 +21,8 @@ from collections import namedtuple
 
 from .cyclic import weight_tails
 from .factors import serre_tables
-from .gamma import (LN2, SINGULARITY_GUARD, GammaExpression, Tables,
-                    evaluate_log, gr_shifts, nearest_divisor_point,
-                    normal_tables, render)
+from .gamma import (LN2, SINGULARITY_GUARD, Tables, evaluate_log,
+                    nearest_divisor_point, normal_tables, render)
 from .hodge import HodgeData, Place, validate
 from .regdet import add_tail_determinants
 
@@ -28,7 +30,9 @@ from .regdet import add_tail_determinants
 SamplePoint = namedtuple("SamplePoint", "s lhs_log rhs_log signs_agree")
 
 
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", (
+        "name divisor_match mismatch_witness per_weight residue "
+        "constant_log constant_stddev samples"))):
     """Outcome of one verification run.
 
     ``per_weight`` says for each weight present in the input whether
@@ -42,21 +46,7 @@ class VerificationReport:
     ``constant_stddev`` their spread; neither is asserted.
     """
 
-    __slots__ = ("name", "divisor_match", "mismatch_witness", "per_weight",
-                 "residue", "constant_log", "constant_stddev", "samples")
-
-    def __init__(self, name: str, divisor_match: bool,
-                 mismatch_witness: int | None, per_weight: tuple,
-                 residue: GammaExpression, constant_log: float,
-                 constant_stddev: float, samples: tuple):
-        self.name = name
-        self.divisor_match = divisor_match
-        self.mismatch_witness = mismatch_witness
-        self.per_weight = per_weight
-        self.residue = residue
-        self.constant_log = constant_log
-        self.constant_stddev = constant_stddev
-        self.samples = samples
+    __slots__ = ()
 
     def ok(self) -> bool:
         return all(match for _, match in self.per_weight)
@@ -78,23 +68,16 @@ class VerificationReport:
         }
 
 
-def _cancels(x: Tables, h: int) -> bool:
-    """Whether x is 2^(-h/2) with every GR shift (GCs written as GRs) and
-    linear exponent 0: normalize(x) == 2^(-h/2) when x has no linear factor."""
-    return (not any(gr_shifts(x).values()) and not any(x.lin.values())
-            and 2 * (x.a2 - sum(x.gc.values())) == -h)
-
-
 def verify_theorem(data: HodgeData, samples=None,
                    guard: float = SINGULARITY_GUARD) -> VerificationReport:
     """Compare the completed factor product against the determinant
     ratio of the scaling spectrum, weight by weight and exactly.
 
-    Only the weights present in the data are visited, each building one
-    exponent table x_w = LHS_w / RHS_w: an absent weight is 1 on both
-    sides, so the cost follows the nonzero Hodge data, and ``dim`` only
-    places the default sample points, right of every zero and pole.  The
-    residue is the normal form of prod_w x_w, RHS = LHS / prod_w x_w.
+    Only the weights present in the data are visited: an absent weight
+    is 1 on both sides, so the cost follows the nonzero Hodge data, and
+    ``dim`` only places the default sample points, right of every zero
+    and pole.  Each weight's local factor and tail determinants are
+    read once, into the LHS or the RHS and into the weight's balance.
     """
     if bad := validate(data):
         raise ValueError("invalid data: " + "; ".join(bad))
@@ -106,16 +89,35 @@ def verify_theorem(data: HodgeData, samples=None,
         if not samples:
             raise ValueError("need at least one sample point")
 
-    lhs, quotient = Tables(), Tables()
+    lhs, rhs, quotient = Tables(), Tables(), Tables()
     per_weight = []
     for piece in data.weights:
         k = 1 if piece.w % 2 else -1
-        lhs.add(x := serre_tables(piece, data.place, k))
-        add_tail_determinants(x, *weight_tails(data, piece.w), k)
-        per_weight.append((piece.w, _cancels(
-            x, piece.middle() if data.place is Place.REAL else 0)))
-        quotient.add(x)
-    rhs = Tables().add(lhs).add(quotient, -1)
+        x = serre_tables(piece, data.place, k)
+        y = add_tail_determinants(Tables(), *weight_tails(data, piece.w), -k)
+        # x / y in GR shifts (each GC as two), linear exponents and halves
+        shifts, lin, halves = {}, {}, 0
+        for total, t, sign in ((lhs, x, 1), (rhs, y, -1)):
+            for a, e in t.gr.items():
+                total.gr[a] = total.gr.get(a, 0) + e
+                shifts[a] = shifts.get(a, 0) + sign * e
+            for a, e in t.gc.items():
+                total.gc[a] = total.gc.get(a, 0) + e
+                shifts[a] = shifts.get(a, 0) + sign * e
+                shifts[a + 1] = shifts.get(a + 1, 0) + sign * e
+            for m, e in t.lin.items():
+                total.lin[m] = total.lin.get(m, 0) + e
+                lin[m] = lin.get(m, 0) + sign * e
+            total.halves += t.halves
+            halves += sign * (t.halves - 2 * sum(t.gc.values()))
+        h = piece.middle() if data.place is Place.REAL else 0
+        match = (halves == -h and not any(shifts.values())
+                 and not any(lin.values()))
+        per_weight.append((piece.w, match))
+        if match:
+            quotient.halves -= h
+        else:
+            quotient.add(x).add(y, -1)
     residue = normal_tables(quotient)
     lhs, rhs, residue = (t.expression() for t in (lhs, rhs, residue))
     witness = nearest_divisor_point(residue)

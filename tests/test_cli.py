@@ -10,6 +10,7 @@ import pytest
 
 import archfactor.cli as cli_module
 import archfactor.factors as factors_module
+import archfactor.hodge as hodge_module
 import archfactor.verify as verify_module
 from archfactor import (PRESET_NAMES, Place, Progression, SpectralMeasure,
                         completed_alternating_product, preset, to_json_dict,
@@ -440,6 +441,17 @@ def test_far_weight_verifies_quickly(tmp_path, capsys, doc):
                  '{"1,0": 1, "0,1": 1, "0,+1": 2}}]}',
                  'weights[1].hpq["0,+1"]: names the same (p, q) = (0, 1) '
                  'as an earlier key', id="duplicate_key_sign"),
+    # json keeps the last of two literally equal keys: name the object
+    pytest.param('{"dim": 1, "place": "complex", "dim": 0, "weights": '
+                 '[{"w": 0, "hpq": {"0,0": 1}}]}',
+                 'document: repeats the key "dim"', id="repeat_top_level"),
+    pytest.param('{"dim": 1, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": 1}}, {"w": 2, "hpq": '
+                 '{"1,1": 1}, "w": 1}]}',
+                 'weights[1]: repeats the key "w"', id="repeat_in_weight"),
+    pytest.param('{"dim": 0, "place": "complex", "weights": '
+                 '[{"w": 0, "hpq": {"0,0": 1, "0,0": 5}}]}',
+                 'weights[0].hpq: repeats the key "0,0"', id="repeat_in_hpq"),
 ])
 def test_verify_malformed_document_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "doc.json"
@@ -447,6 +459,48 @@ def test_verify_malformed_document_exit_two(tmp_path, capsys, text, message):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_valid_entries_are_checked_once_per_piece(tmp_path, monkeypatch,
+                                                  capsys):
+    # validate runs twice per verify, but its per-entry loop only for a
+    # piece whose constructor saw a bad entry
+    validate = hodge_module.validate
+    validations, entry_loops = [], []
+
+    class Entries(dict):
+        def items(self):
+            if sys._getframe(1).f_code is validate.__code__:
+                entry_loops.append(self)
+            return super().items()
+
+    def counted_validate(data, *args):
+        validations.append(data)
+        return validate(data, *args)
+
+    exact_load = cli_module.from_json_dict
+
+    def load(doc):
+        data = exact_load(doc)
+        for piece in data.weights:
+            piece.hpq = Entries(piece.hpq)
+            if forced:
+                piece._regular = False
+        return data
+
+    monkeypatch.setattr(cli_module, "from_json_dict", load)
+    monkeypatch.setattr(cli_module, "validate", counted_validate)
+    monkeypatch.setattr(verify_module, "validate", counted_validate)
+    data = full_diamond(Place.REAL, 7, 12)
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(to_json_dict(data)))
+    for forced in (False, True):  # forced: every piece loops, as before
+        validations.clear()
+        entry_loops.clear()
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 0 and err == "" and "verdict: ok" in out
+        assert len(validations) == 2
+        assert len(entry_loops) == (2 * len(data.weights) if forced else 0)
 
 
 def _json_spots(doc, path=()):

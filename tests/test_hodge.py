@@ -211,3 +211,52 @@ def test_weight_piece_canonical_form():
     b = WeightPiece(2, {(1, 1): 1})
     assert a == b
     assert a.middle() == 1 and a.total() == 1
+
+
+def _seeded_piece(rng, w):
+    """A piece that is regular or broken in one of a few ways: an
+    asymmetric, negative, zero or badly indexed entry."""
+    hpq = {}
+    for p in range(w // 2 + 1):
+        hpq[(p, w - p)] = hpq[(w - p, p)] = rng.randint(1, 5)
+    p = rng.randint(0, w)
+    fault = rng.choice(["none", "asymmetric", "negative", "zero", "index",
+                        "negative_pair", "zero_pair"])
+    if fault == "asymmetric" and p != w - p:
+        hpq[(p, w - p)] += rng.randint(1, 3)
+    elif fault == "negative":
+        hpq[(p, w - p)] = -rng.randint(1, 3)
+    elif fault == "negative_pair":
+        hpq[(p, w - p)] = hpq[(w - p, p)] = -rng.randint(1, 3)
+    elif fault == "zero":
+        hpq[(p, w - p)] = 0
+    elif fault == "zero_pair":
+        hpq[(p, w - p)] = hpq[(w - p, p)] = 0
+    elif fault == "index":
+        q = rng.choice([w - p + 1, w - p - 1, -1])
+        hpq[(rng.choice([p, -1]), q)] = rng.randint(1, 3)
+    mid = hpq.get((w // 2, w // 2), 0) if w % 2 == 0 else 0
+    return WeightPiece(w, hpq, (mid, 0) if mid > 0 else None)
+
+
+def test_regular_flag_matches_the_entry_loop():
+    # validate skips the per-entry loop of a piece flagged regular, so it
+    # must list exactly what it lists with the loop forced to run
+    rng = random.Random(1010)
+    regular = broken = 0
+    for _ in range(600):
+        pieces = [_seeded_piece(rng, w) for w in rng.sample(range(7), 3)]
+        for place in Place:
+            data = HodgeData("seeded", 3, place, tuple(pieces))
+            flagged = validate(data)
+            flags = [piece._regular for piece in pieces]
+            for piece in pieces:
+                piece._regular = False
+            assert flagged == validate(data), (data.weights, flagged)
+            for piece, flag in zip(pieces, flags):
+                tag = f"weights[w={piece.w}].hpq["
+                assert flag == (not any(m.startswith(tag) for m in flagged))
+                piece._regular = flag
+                regular += flag
+                broken += not flag
+    assert regular > 1000 and broken > 1000

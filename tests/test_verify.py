@@ -10,9 +10,10 @@ import archfactor.gamma as gamma_module
 import archfactor.verify as verify_module
 from archfactor import (PRESET_NAMES, GammaExpression, HodgeData, Place,
                         Progression, SingularEvaluationError, WeightPiece,
-                        gamma_c, gamma_r, linear, nearest_divisor_point,
-                        normalize, power, prefactor, preset, product,
-                        serre_factor, verify_theorem, weight_spectrum)
+                        gamma_c, gamma_r, identity, linear,
+                        nearest_divisor_point, normalize, power, prefactor,
+                        preset, product, serre_factor, verify_theorem,
+                        weight_spectrum)
 from archfactor.regdet import ratio_tables
 from helpers import full_diamond, random_hodge_data
 
@@ -114,9 +115,9 @@ def test_dropped_step_two_constant_is_a_mismatch(monkeypatch):
     exact = verify_module.add_tail_determinants
 
     def dropped(out, step, tails, k=1):
-        a2 = out.a2
+        halves = out.halves
         exact(out, step, tails, k)
-        out.a2 = a2
+        out.halves = halves
         return out
 
     monkeypatch.setattr(verify_module, "add_tail_determinants", dropped)
@@ -126,6 +127,77 @@ def test_dropped_step_two_constant_is_a_mismatch(monkeypatch):
         assert report.divisor_match, name
         assert report.ok() is not real, name
         assert all(match is not real for _, match in report.per_weight), name
+
+
+@pytest.mark.parametrize("place", list(Place))
+def test_elementary_residues_are_pinned(place):
+    # by linearity and the Tate twist every residue is a sum of these:
+    # h^{0,0} (each split at R) and the pairs {(0, n), (n, 0)}
+    real = place is Place.REAL
+    for split in ((1, 0), (0, 1)) if real else (None,):
+        data = HodgeData("h00", 0, place,
+                         (WeightPiece(0, {(0, 0): 1}, split),))
+        report = verify_theorem(data)
+        assert report.per_weight == ((0, True),)
+        assert report.residue == prefactor(Fraction(-1 if real else 0, 2))
+    for n in (1, 2, 3, 10, 999, 10 ** 4, 10 ** 6, 2 ** 53):
+        data = HodgeData("pair", (n + 1) // 2, place,
+                         (WeightPiece(n, {(0, n): 1, (n, 0): 1}),))
+        report = verify_theorem(data)
+        assert report.per_weight == ((n, True),), n
+        assert report.residue == identity(), n
+
+
+def _twist(data):
+    """(p, q) -> (p + 1, q + 1), w -> w + 2 and dim -> dim + 1."""
+    return HodgeData(data.name, data.dim + 1, data.place, tuple(
+        WeightPiece(piece.w + 2, {(p + 1, q + 1): h
+                                  for (p, q), h in piece.hpq.items()},
+                    piece.middle_split) for piece in data.weights))
+
+
+def test_tate_twist_moves_the_residue_to_s_minus_one(monkeypatch):
+    # the twist replaces LHS(s) and RHS(s) by their values at s - 1, so
+    # it keeps every verdict, also on spectra with one tail bumped
+    bumps = {}
+    exact = verify_module.weight_tails
+
+    def bumped(data, w):
+        step, tails = exact(data, w)
+        if w in bumps and tails:
+            i, dfirst, dmult = bumps[w]
+            tails = list(tails)
+            first, mult = tails[i % len(tails)]
+            tails[i % len(tails)] = (first + dfirst, mult + dmult)
+        return step, tails
+
+    monkeypatch.setattr(verify_module, "weight_tails", bumped)
+    rng = random.Random(806)
+    mismatched = 0
+    for i in range(300):
+        data = random_hodge_data(rng, max_dim=5,
+                                 max_entry=rng.choice((4, 10 ** 6)))
+        bump = None
+        if i % 2 and data.weights:
+            bump = (rng.choice(data.weights).w, rng.randrange(8),
+                    *rng.choice(((0, 1), (1, 0), (-1, 0))))
+        bumps.clear()
+        if bump:
+            bumps[bump[0]] = bump[1:]
+        report = verify_theorem(data)
+        bumps.clear()
+        if bump:
+            bumps[bump[0] + 2] = bump[1:]
+        twisted = verify_theorem(_twist(data))
+        assert twisted.per_weight == tuple((w + 2, match)
+                                           for w, match in report.per_weight)
+        x = report.residue
+        assert twisted.residue == normalize(GammaExpression(
+            {a - 1: e for a, e in x.gr.items()},
+            {a - 1: e for a, e in x.gc.items()},
+            {m + 1: e for m, e in x.lin.items()}, x.a2)), data
+        mismatched += not report.ok()
+    assert mismatched > 100
 
 
 def test_samples_agree_with_exact_constant():
