@@ -17,7 +17,7 @@ completed product that never touches GR/GC factor bookkeeping, which is
 exactly what makes it useful as a cross-check.
 """
 
-from .hodge import HodgeData, Place, betti, betti_eigen
+from .hodge import HodgeData, Place
 
 
 class OutOfRegimeError(ValueError):
@@ -31,11 +31,10 @@ def deligne_dim(data: HodgeData, w: int, r: int) -> int:
     if w + 1 >= 2 * r:
         raise OutOfRegimeError(
             f"dimension formula needs w+1 < 2r, got w={w}, r={r}")
-    below = data.piece(w).below(r)
+    piece = data.piece(w)
     if data.place is Place.COMPLEX:
-        return 2 * below - betti(data, w)
-    sign = 1 if r % 2 == 0 else -1
-    return below - betti_eigen(data, w, sign)
+        return 2 * piece.below(r) - piece.total()
+    return piece.below(r) - piece.eigen(1 if r % 2 == 0 else -1)
 
 
 def pole_order(data: HodgeData, w: int, m: int) -> int:

@@ -23,8 +23,7 @@ from .hodge import HodgeData, Place, WeightPiece
 
 def serre_tables(piece: WeightPiece, place: Place, k: int = 1) -> Tables:
     """Exponent tables of the local factor of one weight piece at the
-    given place, raised to k."""
-    place = Place(place)
+    given place (a :class:`Place`), raised to k."""
     out = Tables()
     gr, gc = out.gr, out.gc
     if place is Place.COMPLEX:
@@ -50,7 +49,7 @@ def serre_tables(piece: WeightPiece, place: Place, k: int = 1) -> Tables:
 
 def serre_factor(piece: WeightPiece, place: Place) -> GammaExpression:
     """Local factor of one weight piece at the given place."""
-    return serre_tables(piece, place).expression()
+    return serre_tables(piece, Place(place)).expression()
 
 
 def completed_alternating_product(data: HodgeData) -> GammaExpression:

@@ -46,14 +46,14 @@ class SingularEvaluationError(ValueError):
     """Numeric evaluation was requested on or too close to a zero/pole."""
 
 
+class EvaluationRangeError(ValueError):
+    """A log value at a finite point does not fit in a float."""
+
+
 def _clean(table) -> dict:
     # canonical form: integer keys/values, zero exponents dropped, sorted
-    out = {}
-    for k, v in sorted(table.items() if table else ()):
-        v = int(v)
-        if v:
-            out[int(k)] = v
-    return out
+    return {int(k): e for k, v in sorted(table.items() if table else ())
+            if (e := int(v))}
 
 
 class GammaExpression:
@@ -72,7 +72,7 @@ class GammaExpression:
         self.gr = _clean(gr)
         self.gc = _clean(gc)
         self.lin = _clean(lin)
-        self.a2 = Fraction(a2)
+        self.a2 = a2 if type(a2) is Fraction else Fraction(a2)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -185,6 +185,8 @@ def nearest_divisor_point(x: GammaExpression):
     2-periodic for m < -R, so if x has a zero or pole at all, it has
     one with |m| <= R + 2.
     """
+    if not (x.lin or x.gr or x.gc):
+        return None
     reach = max(map(abs, (*x.lin, *x.gr, *x.gc)), default=0) + 2
     for k in range(reach + 1):
         for m in sorted({-k, k}):
@@ -204,6 +206,8 @@ def normal_tables(x: Tables) -> Tables:
     to the left the pole orders fix u and v, the rational part fixes the
     linear factors, and what is left, 2^a2, fixes a2.
     """
+    if not (x.gr or x.gc or x.lin):
+        return Tables(halves=x.halves)
     shifts = dict(x.gr)
     for a, e in x.gc.items():
         shifts[a] = shifts.get(a, 0) + e
@@ -238,50 +242,49 @@ def loggamma_signed(z: float):
     if z <= 0 and z == math.floor(z):
         raise SingularEvaluationError(f"Gamma pole at z={z}")
     sign = 1 if z > 0 or int(math.floor(z)) % 2 == 0 else -1
-    return math.lgamma(z), sign
+    try:
+        return math.lgamma(z), sign
+    except OverflowError:  # |Gamma(z)| beyond every float
+        return math.inf, sign
 
 
 def evaluate_log(x: GammaExpression, s: float, guard: float = SINGULARITY_GUARD):
     """(log|x(s)|, sign of x(s)) for real s away from zeros and poles.
 
-    Raises :class:`SingularEvaluationError` when s is within ``guard``
-    of a point where some individual factor vanishes or blows up.  This
+    One pass guards and evaluates each factor, GR before GC before
+    linear.  Raises :class:`SingularEvaluationError` for the first one
+    within ``guard`` of a point where it vanishes or blows up, which
     covers every point of the divisor and also removable singularities,
-    where termwise log evaluation is impossible.
+    where termwise log evaluation is impossible, and
+    :class:`EvaluationRangeError` if log|x(s)| is not a finite float.
     """
-    for a in x.gr:
-        half = (s + a) / 2.0
-        k = round(half)
-        if k <= 0 and abs(half - k) < guard:
-            raise SingularEvaluationError(f"GR(s{a:+d}) singular near s={s}")
-    for a in x.gc:
-        z = s + a
-        k = round(z)
-        if k <= 0 and abs(z - k) < guard:
-            raise SingularEvaluationError(f"GC(s{a:+d}) singular near s={s}")
-    for m in x.lin:
-        if abs(s - m) < guard:
-            raise SingularEvaluationError(f"linear factor root m={m} near s={s}")
-
     total = float(x.a2) * LN2
     sign = 1
-    for a, e in x.gr.items():
-        half = (s + a) / 2.0
-        lg, sg = loggamma_signed(half)
-        total += e * (lg - half * LNPI)
-        if e % 2 and sg < 0:
-            sign = -sign
-    for a, e in x.gc.items():
-        z = s + a
-        lg, sg = loggamma_signed(z)
-        total += e * (lg - z * LN2PI)
-        if e % 2 and sg < 0:
-            sign = -sign
+    for table, scale, log_c, name in ((x.gr, 2.0, LNPI, "GR"),
+                                      (x.gc, 1.0, LN2PI, "GC")):
+        for a, e in table.items():
+            z = (s + a) / scale
+            if 0.5 < z < 1e300:  # no pole near, Gamma > 0, lgamma finite
+                total += e * (math.lgamma(z) - z * log_c)
+                continue
+            k = round(z)
+            if k <= 0 and abs(z - k) < guard:
+                raise SingularEvaluationError(
+                    f"{name}(s{a:+d}) singular near s={s}")
+            lg, sg = loggamma_signed(z)
+            total += e * (lg - z * log_c)
+            if e % 2 and sg < 0:
+                sign = -sign
     for m, e in x.lin.items():
+        if abs(s - m) < guard:
+            raise SingularEvaluationError(
+                f"linear factor root m={m} near s={s}")
         v = (s - m) / (2.0 * math.pi)
         total += e * math.log(abs(v))
         if e % 2 and v < 0:
             sign = -sign
+    if not math.isfinite(total):
+        raise EvaluationRangeError(f"log|value| overflows a float at s={s}")
     return total, sign
 
 

@@ -77,6 +77,19 @@ class WeightPiece:
         """The Betti number of this weight."""
         return self._sums[-1]
 
+    def eigen(self, sign: int) -> int:
+        """Dimension of the ``sign`` eigenspace of conjugation at a real
+        place: the pairs p != q split evenly, the middle piece as
+        ``middle_split``, h_plus at the eigenvalue (-1)^(w/2)."""
+        off = self.below((self.w + 1) // 2)
+        if not self.middle():
+            return off
+        if self.middle_split is None:
+            raise ValueError(f"weight {self.w}: nonzero middle Hodge "
+                             "number without middle_split")
+        h_plus, h_minus = self.middle_split
+        return off + (h_plus if sign == (-1) ** (self.w // 2 % 2) else h_minus)
+
 
 class HodgeData:
     """A named bundle of weight pieces over one archimedean place."""
@@ -110,28 +123,12 @@ def betti(data: HodgeData, w: int) -> int:
 
 
 def betti_eigen(data: HodgeData, w: int, sign: int) -> int:
-    """Dimension of the (+1 or -1) eigenspace of the conjugation
-    involution on weight-w Betti cohomology, real place only.
-
-    Off-diagonal Hodge numbers pair up under p <-> q and split evenly
-    between the two eigenvalues; the middle piece splits according to
-    ``middle_split`` with h_plus sitting at the eigenvalue (-1)^(w/2).
-    """
+    """:meth:`WeightPiece.eigen` of weight w, real place only."""
     if data.place is not Place.REAL:
         raise ValueError("betti_eigen is only defined at a real place")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    piece = data.piece(w)
-    off = piece.below((w + 1) // 2)
-    mid = piece.middle()
-    if mid == 0:
-        return off
-    if piece.middle_split is None:
-        raise ValueError(
-            f"weight {w}: nonzero middle Hodge number without middle_split")
-    h_plus, h_minus = piece.middle_split
-    middle_sign = 1 if (w // 2) % 2 == 0 else -1
-    return off + (h_plus if sign == middle_sign else h_minus)
+    return data.piece(w).eigen(sign)
 
 
 def validate(data: HodgeData, check_poincare: bool = False) -> list:
@@ -287,7 +284,7 @@ def json_object(pairs: list) -> dict:
     return obj if len(obj) == len(pairs) else _Repeats(pairs)
 
 
-def _expect(value, kind: type, path: str):
+def _expect(value, kind: type, path: str, keys=None):
     # an exact type test: JSON true/false are bools, a subclass of int
     if type(value) is not kind:
         if type(value) is _Repeats:
@@ -296,6 +293,9 @@ def _expect(value, kind: type, path: str):
         got = (_JSON_NAMES[type(value)] if isinstance(value, (dict, list))
                else repr(value))
         raise ValueError(f"{path}: expected {_JSON_NAMES[kind]}, got {got}")
+    if keys is not None and not value.keys() <= keys:  # an object's keys
+        key = next(k for k in value if k not in keys)
+        raise ValueError(f"{path}: unknown key {json.dumps(key)}")
     # counts are evaluated in floating point, exact only up to 2^53
     if kind is int and abs(value) > 2 ** 53:
         raise ValueError(f"{path}: integer out of range (|n| > 2^53)")
@@ -312,11 +312,11 @@ def _get(obj: dict, at: str, key: str, kind: type):
 def from_json_dict(doc) -> HodgeData:
     """Inverse of :func:`to_json_dict`, strict about shape.
 
-    Every level must be an object, every count an integer (never a
-    boolean, float or infinity) and every ``hpq`` key ``"p,q"``.  Raises
-    ValueError naming the JSON path of the first offending value.
+    Every level must be an object with no unknown key, every count an
+    integer (never a boolean, float or infinity), every ``hpq`` key
+    ``"p,q"``.  A ValueError names the JSON path of the first fault.
     """
-    _expect(doc, dict, "document")
+    _expect(doc, dict, "document", {"name", "dim", "place", "weights"})
     name = _expect(doc.get("name", "unnamed"), str, "name")
     dim = _get(doc, "", "dim", int)
     place = _get(doc, "", "place", str)
@@ -325,7 +325,7 @@ def from_json_dict(doc) -> HodgeData:
     pieces = []
     for i, entry in enumerate(_get(doc, "", "weights", list)):
         at = f"weights[{i}]"
-        _expect(entry, dict, at)
+        _expect(entry, dict, at, {"w", "hpq", "middle_split"})
         hpq = {}
         raw = _get(entry, at, "hpq", dict)
         # the JSON path of an entry is built only to report it

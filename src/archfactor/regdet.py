@@ -45,11 +45,12 @@ def add_tail_determinants(out: Tables, step: int, tails, k: int = 1) -> Tables:
     if step not in (1, 2):
         raise ValueError(
             f"no closed form for infinite step-{step} progressions")
-    table = out.gc if step == 1 else out.gr
+    table, total = (out.gc if step == 1 else out.gr), 0
     for first, mu in tails:
         table[-first] = table.get(-first, 0) - k * mu
+        total += mu
     if step == 2:
-        out.halves += k * sum(mu for _, mu in tails)
+        out.halves += k * total
     return out
 
 

@@ -13,16 +13,16 @@ h = 0 for odd w.  The residue LHS / RHS is the normal form of the product
 of the weights' quotients; as the normal form is linear in the exponents,
 a matching weight (normal form 2^(-h/2)) adds only -h/2 to its exponent
 of 2.  It names its zero or pole nearest 0; samples of log(LHS/RHS) check
-the constant and signs in floats.
+the constant and signs in floats, with an exact spread (:func:`spread`).
 """
 
-import statistics
+import math
 from collections import namedtuple
 
 from .cyclic import weight_tails
 from .factors import serre_tables
-from .gamma import (LN2, SINGULARITY_GUARD, Tables, evaluate_log,
-                    nearest_divisor_point, normal_tables, render)
+from .gamma import (LN2, SINGULARITY_GUARD, EvaluationRangeError, Tables,
+                    evaluate_log, nearest_divisor_point, normal_tables, render)
 from .hodge import HodgeData, Place, validate
 from .regdet import add_tail_determinants
 
@@ -66,6 +66,24 @@ class VerificationReport(namedtuple("VerificationReport", (
                          "signs_agree": p.signs_agree}
                         for p in self.samples],
         }
+
+
+def spread(values) -> float:
+    """Population standard deviation of finite floats, correctly rounded:
+    the exact variance in integers, its root rounded to odd at 2*53 + 3
+    bits and then to a float, the method of Python 3.11's ``statistics``."""
+    if not all(map(math.isfinite, values)):
+        raise EvaluationRangeError(
+            f"log(LHS/RHS) is not finite at every sample: {values}")
+    ratios = [v.as_integer_ratio() for v in values]
+    n, den = len(ratios), max(d for _, d in ratios)  # each d a power of 2
+    xs = [a * (den // d) for a, d in ratios]
+    num, den = n * sum(x * x for x in xs) - sum(xs) ** 2, (n * den) ** 2
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = num << max(-2 * q, 0), den << max(2 * q, 0)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return (root << max(q, 0)) / (1 << max(-q, 0))
 
 
 def verify_theorem(data: HodgeData, samples=None,
@@ -138,8 +156,8 @@ def verify_theorem(data: HodgeData, samples=None,
         mismatch_witness=witness,
         per_weight=tuple(per_weight),
         residue=residue,
-        constant_log=(statistics.fmean(diffs) if residue.gr or residue.lin
+        constant_stddev=spread(diffs),  # first: it rejects a non-finite diff
+        constant_log=(math.fsum(diffs) / len(diffs) if residue.gr or residue.lin
                       else float(residue.a2) * LN2),
-        constant_stddev=statistics.pstdev(diffs),
         samples=tuple(points),
     )

@@ -266,6 +266,24 @@ def test_sample_on_pole_exit_two(capsys):
     assert error_lines(err) == ["error: GC(s-1) singular near s=0.0"]
 
 
+@pytest.mark.parametrize("argv, s", [
+    pytest.param(["verify", "preset:P1_R", "--samples", "1e308"], 1e308,
+                 id="verify"),
+    pytest.param(["verify", "preset:elliptic_C", "--samples", "2.5", "3e305",
+                  "--json"], 3e305, id="verify_second_sample"),
+    pytest.param(["eval", "preset:P1_R", "--s", "1e308"], 1e308, id="eval"),
+    # each lgamma is finite here, their sum is not
+    pytest.param(["eval", "preset:P1_R", "--s", "3e305"], 3e305,
+                 id="eval_sum"),
+    pytest.param(["regdet", "--first", "0", "--step", "1", "--s", "1e308",
+                  "--json"], 1e308, id="regdet"),
+])
+def test_huge_finite_point_exit_two(capsys, argv, s):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: log|value| overflows a float at s={s}"]
+
+
 def test_negative_depth_exit_two(capsys):
     code, out, err = run(capsys, "spectrum", "preset:P1_R", "--depth", "-5")
     assert code == 2 and out == ""
@@ -452,6 +470,15 @@ def test_far_weight_verifies_quickly(tmp_path, capsys, doc):
     pytest.param('{"dim": 0, "place": "complex", "weights": '
                  '[{"w": 0, "hpq": {"0,0": 1, "0,0": 5}}]}',
                  'weights[0].hpq: repeats the key "0,0"', id="repeat_in_hpq"),
+    # a misspelled key is not dropped
+    pytest.param('{"dim": 1, "place": "real", "weigths": [], "weights": '
+                 '[{"w": 1, "hpq": {"1,0": 2, "0,1": 2}}]}',
+                 'document: unknown key "weigths"', id="unknown_top_level"),
+    pytest.param('{"dim": 1, "place": "real", "weights": [{"w": 1, "hpq": '
+                 '{"1,0": 2, "0,1": 2}}, {"w": 2, "hpq": {"1,1": 1}, '
+                 '"midle_split": [1, 0]}]}',
+                 'weights[1]: unknown key "midle_split"',
+                 id="unknown_in_weight"),
 ])
 def test_verify_malformed_document_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "doc.json"
@@ -556,7 +583,8 @@ def test_import_pulls_in_no_dataclasses_or_typing():
     # the start-up of every command pays for what the package imports;
     # -S keeps site's own imports out of sys.modules
     code = ("import archfactor.cli, sys; print(' '.join(sorted("
-            "{'dataclasses', 'inspect', 'typing'} & set(sys.modules))))")
+            "{'dataclasses', 'inspect', 'statistics', 'typing'}"
+            " & set(sys.modules))))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)

@@ -161,6 +161,36 @@ def test_singularity_guard():
     evaluate_log(gamma_c(-1, 1), 3.0)
 
 
+@pytest.mark.parametrize("x, s, guard, message", [
+    (gamma_r(2), -2.0, 1e-9, "GR(s+2) singular near s=-2.0"),
+    (gamma_c(-1), 1.0 + 1e-12, 1e-9, "GC(s-1) singular near s=1.000000000001"),
+    (linear(3), 3.0, 1e-9, "linear factor root m=3 near s=3.0"),
+    # a regular factor first changes nothing
+    (product((gamma_r(5), gamma_c(0))), 0.0, 1e-9,
+     "GC(s+0) singular near s=0.0"),
+    # two or three singular factors: GR before GC before a linear root,
+    # and the lowest shift first
+    (product((linear(0), gamma_c(0), gamma_r(0))), 0.0, 1e-9,
+     "GR(s+0) singular near s=0.0"),
+    (product((linear(0), gamma_c(0))), 0.0, 1e-9,
+     "GC(s+0) singular near s=0.0"),
+    (product((gamma_r(2), gamma_r(0))), -2.0, 1e-9,
+     "GR(s+0) singular near s=-2.0"),
+    (product((gamma_c(3), gamma_c(1))), -3.0, 1e-9,
+     "GC(s+1) singular near s=-3.0"),
+    # guard 0: only an exact pole is singular, and still reported as one
+    (gamma_r(0), -4.0, 0.0, "Gamma pole at z=-2.0"),
+    (gamma_c(1), -1.0, 0.0, "Gamma pole at z=0.0"),
+    (product((gamma_c(0), gamma_r(0))), -2.0, 0.0, "Gamma pole at z=-1.0"),
+    (product((gamma_r(1), gamma_c(0))), -2.0, 0.0, "Gamma pole at z=-2.0"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_singular_errors_are_pinned(x, s, guard, message):
+    with pytest.raises(SingularEvaluationError) as info:
+        evaluate_log(x, s, guard)
+    assert type(info.value) is SingularEvaluationError
+    assert str(info.value) == message
+
+
 def test_duplication_pairs_into_gc():
     # GR(s) GR(s+1) = 2 GC(s); normalize must book the 2
     x = product((gamma_r(0, 1), gamma_r(1, 1)))

@@ -1,5 +1,8 @@
 import math
 import random
+import statistics
+import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,9 @@ from archfactor import (PRESET_NAMES, GammaExpression, HodgeData, Place,
                         nearest_divisor_point, normalize, power, prefactor,
                         preset, product, serre_factor, verify_theorem,
                         weight_spectrum)
+from archfactor.gamma import EvaluationRangeError
 from archfactor.regdet import ratio_tables
+from archfactor.verify import spread
 from helpers import full_diamond, random_hodge_data
 
 
@@ -453,3 +458,70 @@ def test_report_json_shape():
 def test_residue_witness(lhs, rhs, witness):
     residue = normalize(product((lhs, power(rhs, -1))))
     assert nearest_divisor_point(residue) == witness
+
+
+def _nearest_sqrt(v: Fraction) -> float:
+    """The float nearest sqrt(v), ties to even, found by stepping between
+    neighbouring floats and comparing v with their squared midpoints."""
+    def odd(r):
+        return struct.unpack("<q", struct.pack("<d", r))[0] & 1
+
+    r = math.sqrt(float(v))
+    while True:
+        down, up = math.nextafter(r, 0.0), math.nextafter(r, math.inf)
+        low = ((Fraction(r) + Fraction(down)) / 2) ** 2
+        high = ((Fraction(r) + Fraction(up)) / 2) ** 2
+        if r > 0 and (v < low or v == low and odd(r)):
+            r = down
+        elif v > high or v == high and odd(r):
+            r = up
+        else:
+            return r
+
+
+def _spread_vectors():
+    rng = random.Random(1501)
+    for n in range(1, 9):
+        for _ in range(150):
+            kind = rng.choice(["equal", "ulps", "mixed", "near"])
+            x = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-90, 90)
+            if kind == "equal":
+                yield [x] * n
+            elif kind == "ulps":  # each value 1 ulp from the one before
+                values = [x]
+                for _ in range(n - 1):
+                    values.append(math.nextafter(
+                        values[-1], rng.choice((-math.inf, math.inf))))
+                yield values
+            elif kind == "mixed":  # signs and magnitudes 10^-90 .. 10^90
+                yield [rng.choice((-1, 1)) * rng.random()
+                       * 10.0 ** rng.randint(-90, 90) for _ in range(n)]
+            else:  # like log(LHS/RHS): one constant plus rounding noise
+                yield [x + rng.uniform(-1e-12, 1e-12) * abs(x)
+                       for _ in range(n)]
+
+
+def test_spread_is_the_correctly_rounded_exact_deviation():
+    checked = 0
+    for values in _spread_vectors():
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        variance = sum((v - mean) ** 2 for v in exact) / len(exact)
+        got = spread(values)
+        assert type(got) is float
+        assert got == _nearest_sqrt(variance), values
+        if sys.version_info >= (3, 11):  # pstdev is correctly rounded
+            assert got == statistics.pstdev(values), values
+        checked += 1
+    assert checked == 8 * 150
+    assert spread([0.1] * 4) == 0.0
+    assert spread([2.5]) == 0.0
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, math.inf], [-math.inf, 1.0, 2.0], [math.nan], [1e308, math.nan],
+])
+def test_spread_rejects_non_finite_values(values):
+    with pytest.raises(EvaluationRangeError, match="not finite"):
+        spread(values)
+    assert issubclass(EvaluationRangeError, ValueError)
