@@ -8,8 +8,7 @@ multiplicity equal to the pole order at m, so the spectrum has a finite
 head and an eventually periodic tail per parity.
 """
 
-from archfactor import (a_to_e, e_to_a, har_dim, preset, theta_spectrum,
-                        weight_spectrum)
+from archfactor import a_to_e, e_to_a, har_dim, preset, theta_spectrum
 
 data = preset("elliptic_R")
 
@@ -22,17 +21,17 @@ for n, j in ((0, 0), (1, 1), (2, 1), (2, 2), (3, 2), (4, 2)):
 
 print("\nfull spectrum of elliptic_R:")
 measure = theta_spectrum(data)
-for parity, label in ((0, "even"), (1, "odd")):
+for parity, label, tails in ((0, "even", measure.even),
+                             (1, "odd", measure.odd)):
     head = {m: measure.multiplicity(parity, m) for m in range(1, -5, -1)}
-    tails = [p for p in measure.progressions(parity) if p.count is None]
     print(f"  {label}: head {head}")
-    for p in tails:
-        print(f"        tail m = {p.first}, {p.first - p.step}, ... "
-              f"multiplicity {p.multiplicity}")
+    for first, step, mult in tails:
+        print(f"        tail m = {first}, {first - step}, ... "
+              f"multiplicity {mult}")
 
 print("\nweight-by-weight decomposition:")
 for w in (0, 1, 2):
-    part = weight_spectrum(data, w)
+    part = theta_spectrum(data, w)
     parity = w % 2
     head = {m: part.multiplicity(parity, m) for m in range(w // 2, -4, -1)}
     print(f"  w={w} ({'even' if parity == 0 else 'odd'} parity): {head} ...")

@@ -12,10 +12,11 @@ sample points is reported alongside as an independent check.
 
 import math
 
-from archfactor import (PRESET_NAMES, HodgeData, Place, WeightPiece,
-                        completed_alternating_product, preset, render,
-                        theta_spectrum, verify_theorem)
-from archfactor.regdet import ratio_tables
+from archfactor import (PRESET_NAMES, GammaExpression, HodgeData, Place,
+                        Progression, WeightPiece,
+                        completed_alternating_product, preset,
+                        regdet_progression, render, theta_spectrum,
+                        verify_theorem)
 
 print(f"{'input':12s} {'residue':10s} {'divisor':8s} {'constant log':>14s}"
       f" {'spread':>9s}")
@@ -33,7 +34,12 @@ for name in ("point_R", "P1_R", "elliptic_R"):
 # both sides, written out for the elliptic curve over R
 data = preset("elliptic_R")
 lhs = completed_alternating_product(data)
-rhs = ratio_tables(theta_spectrum(data)).expression()
+measure = theta_spectrum(data)
+rhs = GammaExpression()  # even-parity determinants over odd-parity ones
+for tails, k in ((measure.even, 1), (measure.odd, -1)):
+    for first, step, mult in tails:
+        rhs.add(regdet_progression(Progression(first, step, None, mult)), k)
+rhs.clean()
 print(f"\nelliptic_R LHS: {render(lhs)}")
 print(f"elliptic_R RHS: {render(rhs)}")
 

@@ -11,15 +11,14 @@ even and odd parts of a graded cyclic homology theory.
 
 from .cyclic import (Progression, SpectralMeasure, a_to_e, e_to_a,
                      har_dim, har_dim_from_sequence, hc_dim, hc_dim_complex,
-                     hn_dim, hp_dim, is_cyclic_pair,
-                     is_pole_pair, same_spectrum, theta_spectrum,
-                     weight_spectrum)
+                     hn_dim, hp_dim, is_cyclic_pair, is_pole_pair,
+                     theta_spectrum)
 from .deligne import OutOfRegimeError, deligne_dim, pole_order
 from .factors import completed_alternating_product, serre_factor
 from .gamma import (GammaExpression, SINGULARITY_GUARD,
-                    SingularEvaluationError, evaluate_log, gamma_c, gamma_r,
-                    identity, linear, loggamma_signed, nearest_divisor_point,
-                    normalize, order_at, power, prefactor, product, render)
+                    SingularEvaluationError, evaluate_log, loggamma_signed,
+                    nearest_divisor_point, normalize, order_at, product,
+                    render)
 from .hodge import (HodgeData, PRESET_NAMES, Place, WeightPiece, betti,
                     betti_eigen, direct_sum, from_json_dict, preset,
                     to_json_dict, validate)

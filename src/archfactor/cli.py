@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import gamma
-from .cyclic import Progression, theta_spectrum, weight_spectrum
+from .cyclic import Progression, theta_spectrum
 from .deligne import deligne_dim, pole_order
 from .factors import completed_alternating_product, serre_tables
 from .gamma import SINGULARITY_GUARD, evaluate_log, render
@@ -75,12 +75,11 @@ def _cmd_presets(args) -> int:
 def _cmd_factors(args) -> int:
     data = load_input(args.input)
     per_weight = {}
-    alternating = gamma.Tables()
+    product = gamma.GammaExpression()
     for piece in data.weights:
-        tables = serre_tables(piece, data.place)
-        per_weight[piece.w] = tables.expression()
-        alternating.add(tables, 1 if piece.w % 2 else -1)
-    product = alternating.expression()
+        per_weight[piece.w] = x = serre_tables(piece, data.place).clean()
+        product.add(x, 1 if piece.w % 2 else -1)
+    product.clean()
     if args.json:
         _emit({"name": data.name,
                "weights": {str(w): gamma.expression_to_json(x)
@@ -120,24 +119,18 @@ def _cmd_poles(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_doc(measure, depth: int) -> dict:
-    doc = {}
-    for parity, label in ((0, "even"), (1, "odd")):
-        top = measure.max_head(parity)
-        head = {str(m): measure.multiplicity(parity, m)
-                for m in range(top, top - depth, -1)}
-        tails = [{"first": p.first, "step": p.step,
-                  "multiplicity": p.multiplicity}
-                 for p in measure.progressions(parity) if p.count is None]
-        doc[label] = {"head": head, "tails": tails}
-    return doc
-
-
 def _cmd_spectrum(args) -> int:
     data = load_input(args.input)
-    measure = (theta_spectrum(data) if args.weight is None
-               else weight_spectrum(data, args.weight))
-    doc = _spectrum_doc(measure, args.depth)
+    measure = theta_spectrum(data, args.weight)
+    doc = {}
+    for parity, label, tails in ((0, "even", measure.even),
+                                 (1, "odd", measure.odd)):
+        top = max((first for first, _, _ in tails), default=0)
+        head = {str(m): measure.multiplicity(parity, m)
+                for m in range(top, top - args.depth, -1)}
+        doc[label] = {"head": head, "tails": [
+            {"first": first, "step": step, "multiplicity": mult}
+            for first, step, mult in tails]}
     if args.json:
         _emit({"name": data.name, "spectrum": doc})
         return EXIT_OK

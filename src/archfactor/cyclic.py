@@ -25,10 +25,11 @@ which is carried bijectively onto the pole bookkeeping set
 by (n, j) -> (2j - n, j - n).
 
 The scaling generator acts on the graded archimedean theory with
-integer eigenvalues; ``theta_spectrum`` reassembles its full spectral
-multiset, one parity per cohomological weight parity.  Each weight's
-multiplicities are encoded as infinite tails alone, a few per Hodge
-number (``weight_tails``), so no eigenvalue is listed one at a time.
+integer eigenvalues.  Each weight's multiplicities are encoded as
+infinite tails alone, a few per Hodge number (``weight_tails``), so no
+eigenvalue is listed one at a time; ``theta_spectrum`` gathers the
+tails of all weights, or of one, into a :class:`SpectralMeasure`, one
+parity block per cohomological weight parity.
 """
 
 from bisect import bisect_right
@@ -136,7 +137,7 @@ def har_dim_from_sequence(data: HodgeData, n: int, j: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# spectral measures
+# spectra
 
 
 class Progression:
@@ -161,23 +162,10 @@ class Progression:
         self.count = count
         self.multiplicity = multiplicity
 
-    def contains(self, m: int) -> bool:
-        k, rem = divmod(self.first - m, self.step)
-        if rem != 0 or k < 0:
-            return False
-        return self.count is None or k < self.count
-
-    def last(self) -> int:
-        """Smallest eigenvalue; only for finite progressions."""
-        if self.count is None:
-            raise ValueError("infinite progression has no last term")
-        if self.count == 0:
-            raise ValueError("empty progression has no last term")
-        return self.first - self.step * (self.count - 1)
-
 
 class SpectralMeasure:
-    """Integer eigenvalue multiplicities, split by degree parity."""
+    """Integer eigenvalue multiplicities, split by degree parity, as
+    infinite descending tails (first, step, multiplicity)."""
 
     __slots__ = ("even", "odd")
 
@@ -185,55 +173,11 @@ class SpectralMeasure:
         self.even = tuple(even)
         self.odd = tuple(odd)
 
-    def progressions(self, parity: int) -> tuple:
-        return self.even if parity % 2 == 0 else self.odd
-
     def multiplicity(self, parity: int, m: int) -> int:
-        return sum(p.multiplicity for p in self.progressions(parity)
-                   if p.count != 0 and p.contains(m))
-
-    def tail_constants(self, parity: int) -> dict:
-        """Eventual multiplicity per residue class of m mod 2."""
-        tails = {0: 0, 1: 0}
-        for p in self.progressions(parity):
-            if p.count is not None:
-                continue
-            if p.step == 1:
-                tails[0] += p.multiplicity
-                tails[1] += p.multiplicity
-            elif p.step == 2:
-                tails[p.first % 2] += p.multiplicity
-            else:
-                raise ValueError(f"no 2-periodic tail for step {p.step}")
-        return tails
-
-    def stable_from(self, parity: int) -> int:
-        """Largest m at which the multiplicity function is already given
-        by the tail constants for everything below."""
-        lows = [0]
-        for p in self.progressions(parity):
-            if p.count is None:
-                lows.append(p.first)
-            elif p.count > 0:
-                lows.append(p.last() - 1)
-        return min(lows)
-
-    def max_head(self, parity: int) -> int:
-        firsts = [p.first for p in self.progressions(parity) if p.count != 0]
-        return max(firsts) if firsts else 0
-
-
-def same_spectrum(a: SpectralMeasure, b: SpectralMeasure) -> bool:
-    """Equality of multiplicity functions, representation independent."""
-    for parity in (0, 1):
-        if a.tail_constants(parity) != b.tail_constants(parity):
-            return False
-        lo = min(a.stable_from(parity), b.stable_from(parity)) - 2
-        hi = max(a.max_head(parity), b.max_head(parity))
-        for m in range(lo, hi + 1):
-            if a.multiplicity(parity, m) != b.multiplicity(parity, m):
-                return False
-    return True
+        """Sum of the multiplicities of the tails through m."""
+        return sum(mult for first, step, mult in (
+            self.odd if parity % 2 else self.even)
+            if first >= m and (first - m) % step == 0)
 
 
 def weight_tails(data: HodgeData, w: int) -> tuple:
@@ -264,23 +208,13 @@ def weight_tails(data: HodgeData, w: int) -> tuple:
     return step, tails
 
 
-def weight_spectrum(data: HodgeData, w: int) -> SpectralMeasure:
-    """:func:`weight_tails` as progressions, in the parity block of w."""
-    step, tails = weight_tails(data, w)
-    # a list: tuple(generator) strands resized tuples on free lists (peak RSS)
-    progs = [Progression(first, step, None, mult) for first, mult in tails]
-    return SpectralMeasure((), progs) if w % 2 else SpectralMeasure(progs, ())
-
-
-def theta_spectrum(data: HodgeData) -> SpectralMeasure:
-    """Full spectrum of the scaling generator: the union over the
-    weights present in the data of the per-weight multiplicities, split
-    by weight parity.  An absent weight contributes nothing, so the cost
-    follows the nonzero Hodge data, not ``dim``."""
-    even: list = []
-    odd: list = []
-    for piece in data.weights:
-        part = weight_spectrum(data, piece.w)
-        even.extend(part.even)
-        odd.extend(part.odd)
-    return SpectralMeasure(tuple(even), tuple(odd))
+def theta_spectrum(data: HodgeData, w: int | None = None) -> SpectralMeasure:
+    """Spectrum of the scaling generator, from the :func:`weight_tails`
+    of every weight present in the data (or of weight w alone), each in
+    the parity block of its weight.  An absent weight contributes
+    nothing, so the cost follows the nonzero Hodge data, not ``dim``."""
+    parts = ([], [])
+    for v in (piece.w for piece in data.weights) if w is None else (w,):
+        step, tails = weight_tails(data, v)
+        parts[v % 2].extend((first, step, mult) for first, mult in tails)
+    return SpectralMeasure(*parts)

@@ -17,14 +17,15 @@ data.  The completed product over all weights takes each factor with
 exponent (-1)^(w+1), so even weights contribute inverted factors.
 """
 
-from .gamma import GammaExpression, Tables, product
+from .gamma import GammaExpression, product
 from .hodge import HodgeData, Place, WeightPiece
 
 
-def serre_tables(piece: WeightPiece, place: Place, k: int = 1) -> Tables:
-    """Exponent tables of the local factor of one weight piece at the
-    given place (a :class:`Place`), raised to k."""
-    out = Tables()
+def serre_tables(piece: WeightPiece, place: Place,
+                 k: int = 1) -> GammaExpression:
+    """The local factor of one weight piece at the given place (a
+    :class:`Place`), raised to k, uncleaned."""
+    out = GammaExpression()
     gr, gc = out.gr, out.gc
     if place is Place.COMPLEX:
         for (p, q), h in piece.hpq.items():
@@ -49,7 +50,7 @@ def serre_tables(piece: WeightPiece, place: Place, k: int = 1) -> Tables:
 
 def serre_factor(piece: WeightPiece, place: Place) -> GammaExpression:
     """Local factor of one weight piece at the given place."""
-    return serre_tables(piece, Place(place)).expression()
+    return serre_tables(piece, Place(place)).clean()
 
 
 def completed_alternating_product(data: HodgeData) -> GammaExpression:

@@ -1,13 +1,14 @@
 """Exact formal products of shifted Gamma factors.
 
-The basic object is :class:`GammaExpression`, a finite formal product
+The one value type is :class:`GammaExpression`, a finite formal product
 
-    2^a2 * prod_a GR(s + a)^gr[a] * prod_a GC(s + a)^gc[a]
-         * prod_m ((s - m) / (2*pi))^lin[m]
+    2^(halves/2) * prod_a GR(s + a)^gr[a] * prod_a GC(s + a)^gc[a]
+                 * prod_m ((s - m) / (2*pi))^lin[m]
 
 with integer shifts ``a``, integer exponents, integer roots ``m`` of the
-linear factors, and an exact rational prefactor exponent a2.  The two
-Gamma building blocks are fixed once and for all as
+linear factors, and the power of 2 kept as an integer number ``halves``
+of square roots of 2.  The two Gamma building blocks are fixed once and
+for all as
 
     GR(z) = pi^(-z/2)   * Gamma(z/2)      poles: z = 0, -2, -4, ...
     GC(z) = (2*pi)^(-z) * Gamma(z)        poles: z = 0, -1, -2, ...
@@ -19,19 +20,21 @@ constant 1, and the duplication formula picks up a 2:
 
     GR(z) * GR(z+1) = 2 * GC(z).
 
-A step-2 progression gives 2^(mu/2) * GR(s - m0)^(-mu), so 2^a2 is the
-only prefactor a determinant or a normal form ever carries.
+A step-2 progression gives 2^(mu/2) * GR(s - m0)^(-mu), so a whole
+number of halves is the only prefactor a determinant or a normal form
+ever carries.
 
-All structural operations (:func:`product`, :func:`power`, the
-canonical form :func:`normalize`, and the zero and pole orders
-:func:`order_at` and :func:`nearest_divisor_point`) are exact
-integer/rational arithmetic, summed in exponent :class:`Tables`.  Only
-:func:`evaluate_log` leaves the exact world; it works in the log domain
-with an explicit sign, so large exponents never overflow.
+Products are built in place, one dict update per term
+(:meth:`GammaExpression.add`), and cleaned once at the end
+(:meth:`GammaExpression.clean`).  All structural operations
+(:func:`product`, the canonical form :func:`normalize`, and the zero and
+pole orders :func:`order_at` and :func:`nearest_divisor_point`) are
+exact integer arithmetic.  Only :func:`evaluate_log` leaves the exact
+world; it works in the log domain with an explicit sign, so large
+exponents never overflow.
 """
 
 import math
-from fractions import Fraction
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -50,76 +53,19 @@ class EvaluationRangeError(ValueError):
     """A log value at a finite point does not fit in a float."""
 
 
-def _clean(table) -> dict:
-    # canonical form: integer keys/values, zero exponents dropped, sorted
-    return {int(k): e for k, v in sorted(table.items() if table else ())
-            if (e := int(v))}
+def _nonzero(table) -> dict:
+    return {k: e for k, e in table.items() if e}
 
 
 class GammaExpression:
-    """A formal product of GR/GC factors, linear factors and a prefactor.
+    """A formal product of GR/GC factors, linear factors and a power of 2.
 
     ``gr`` maps a shift ``a`` to the exponent of GR(s+a), ``gc`` likewise
     for GC(s+a), and ``lin`` maps an integer ``m`` to the exponent of
-    ((s-m)/2pi).  The prefactor is 2^a2 with a2 an exact rational.
-    Instances are value objects: two expressions are equal exactly when
-    all four components agree.
+    ((s-m)/2pi); the prefactor is 2^(halves/2).  The tables are mutable
+    and may hold zero exponents until :meth:`clean`; two expressions are
+    equal exactly when their nonzero exponents and ``halves`` agree.
     """
-
-    __slots__ = ("gr", "gc", "lin", "a2")
-
-    def __init__(self, gr=None, gc=None, lin=None, a2=Fraction(0)):
-        self.gr = _clean(gr)
-        self.gc = _clean(gc)
-        self.lin = _clean(lin)
-        self.a2 = a2 if type(a2) is Fraction else Fraction(a2)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.gr, self.gc, self.lin, self.a2)
-                == (other.gr, other.gc, other.lin, other.a2))
-
-    def __repr__(self) -> str:
-        return f"<GammaExpression {render(self)}>"
-
-    def is_identity(self) -> bool:
-        return not (self.gr or self.gc or self.lin or self.a2)
-
-    def __str__(self) -> str:
-        return render(self)
-
-
-def identity() -> GammaExpression:
-    """The empty product."""
-    return GammaExpression()
-
-
-def gamma_r(shift: int = 0, exponent: int = 1) -> GammaExpression:
-    """GR(s + shift)^exponent."""
-    return GammaExpression(gr={shift: exponent})
-
-
-def gamma_c(shift: int = 0, exponent: int = 1) -> GammaExpression:
-    """GC(s + shift)^exponent."""
-    return GammaExpression(gc={shift: exponent})
-
-
-def linear(m: int, exponent: int = 1) -> GammaExpression:
-    """((s - m) / 2pi)^exponent."""
-    return GammaExpression(lin={m: exponent})
-
-
-def prefactor(a2=0) -> GammaExpression:
-    """The bare constant 2^a2."""
-    return GammaExpression(a2=a2)
-
-
-class Tables:
-    """The fields of a :class:`GammaExpression`, mutable and uncleaned,
-    with the prefactor 2^(halves/2), ``halves`` an int unless a power of 2
-    that is not a half comes in: a product costs one dict update per term
-    and one cleaning at the end."""
 
     __slots__ = ("gr", "gc", "lin", "halves")
 
@@ -129,34 +75,45 @@ class Tables:
         self.lin = {} if lin is None else lin
         self.halves = halves
 
-    def add(self, x, k: int = 1) -> "Tables":
-        """Multiply x^k in, for x a Tables or a GammaExpression."""
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.halves == other.halves
+                and all(_nonzero(a) == _nonzero(b) for a, b in (
+                    (self.gr, other.gr), (self.gc, other.gc),
+                    (self.lin, other.lin))))
+
+    def __repr__(self) -> str:
+        return f"<GammaExpression {render(self)}>"
+
+    def __str__(self) -> str:
+        return render(self)
+
+    def add(self, x: "GammaExpression", k: int = 1) -> "GammaExpression":
+        """Multiply x^k in, in place."""
         for out, table in ((self.gr, x.gr), (self.gc, x.gc),
                            (self.lin, x.lin)):
             for key, e in table.items():
                 out[key] = out.get(key, 0) + k * e
-        h = k * x.halves if type(x) is Tables else 2 * k * x.a2
-        self.halves += int(h) if h == int(h) else h
+        self.halves += k * x.halves
         return self
 
-    def expression(self) -> GammaExpression:
-        return GammaExpression(self.gr, self.gc, self.lin,
-                               Fraction(self.halves, 2))
+    def clean(self) -> "GammaExpression":
+        """Drop zero exponents and sort each table by key, in place: the
+        order in which :func:`evaluate_log` sums and guards."""
+        self.gr = {a: e for a, e in sorted(self.gr.items()) if e}
+        self.gc = {a: e for a, e in sorted(self.gc.items()) if e}
+        self.lin = {m: e for m, e in sorted(self.lin.items()) if e}
+        return self
 
 
 def product(factors) -> GammaExpression:
     """Formal product of any number of expressions, built in one pass:
-    exponents add, prefactor exponents add.  The empty product is
-    the identity."""
-    out = Tables()
+    exponents add, halves add.  The empty product is 1."""
+    out = GammaExpression()
     for x in factors:
         out.add(x)
-    return out.expression()
-
-
-def power(x: GammaExpression, k: int) -> GammaExpression:
-    """x^k for any integer k (k = 0 gives the identity, k < 0 inverts)."""
-    return Tables().add(x, int(k)).expression()
+    return out.clean()
 
 
 def order_at(x: GammaExpression, m: int) -> int:
@@ -195,19 +152,19 @@ def nearest_divisor_point(x: GammaExpression):
     return None
 
 
-def normal_tables(x: Tables) -> Tables:
-    """The tables of the canonical form GR(s)^u * GR(s+1)^v * linear
-    factors * prefactor of x.
+def normalize(x: GammaExpression) -> GammaExpression:
+    """The canonical form GR(s)^u * GR(s+1)^v * linear factors * 2^(h/2)
+    of x, as a new, clean expression.
 
     Duplication, GC(z) = 2^(-1) GR(z) GR(z+1), removes every GC; the
     step-2 shift, GR(z+2) = (z/2pi) GR(z), moves GR(s+a) to
     GR(s + a mod 2), booking one linear factor per step.  Two expressions
     have the same value exactly when their normal forms are equal: far
     to the left the pole orders fix u and v, the rational part fixes the
-    linear factors, and what is left, 2^a2, fixes a2.
+    linear factors, and what is left, 2^(h/2), fixes h.
     """
-    if not (x.gr or x.gc or x.lin):
-        return Tables(halves=x.halves)
+    if not (x.gr or x.gc or x.lin):  # a bare power of 2
+        return GammaExpression(halves=x.halves).clean()
     shifts = dict(x.gr)
     for a, e in x.gc.items():
         shifts[a] = shifts.get(a, 0) + e
@@ -224,12 +181,8 @@ def normal_tables(x: Tables) -> Tables:
             below += group.get(b, 0)
             if e := (total if b >= r else 0) - below:
                 lin[-b] = lin.get(-b, 0) + e
-    return Tables(gr, {}, lin, x.halves - 2 * sum(x.gc.values()))
-
-
-def normalize(x: GammaExpression) -> GammaExpression:
-    """The canonical form of x; see :func:`normal_tables`."""
-    return normal_tables(Tables().add(x)).expression()
+    return GammaExpression(gr, {}, lin,
+                           x.halves - 2 * sum(x.gc.values())).clean()
 
 
 def loggamma_signed(z: float):
@@ -252,13 +205,15 @@ def evaluate_log(x: GammaExpression, s: float, guard: float = SINGULARITY_GUARD)
     """(log|x(s)|, sign of x(s)) for real s away from zeros and poles.
 
     One pass guards and evaluates each factor, GR before GC before
-    linear.  Raises :class:`SingularEvaluationError` for the first one
-    within ``guard`` of a point where it vanishes or blows up, which
-    covers every point of the divisor and also removable singularities,
-    where termwise log evaluation is impossible, and
-    :class:`EvaluationRangeError` if log|x(s)| is not a finite float.
+    linear, each table in its own order (sorted, once cleaned).  Raises
+    :class:`SingularEvaluationError` for the first one within ``guard``
+    of a point where it vanishes or blows up, or exactly on one whatever
+    the guard, which covers every point of the divisor and also
+    removable singularities, where termwise log evaluation is
+    impossible, and :class:`EvaluationRangeError` if log|x(s)| is not a
+    finite float.
     """
-    total = float(x.a2) * LN2
+    total = x.halves / 2 * LN2
     sign = 1
     for table, scale, log_c, name in ((x.gr, 2.0, LNPI, "GR"),
                                       (x.gc, 1.0, LN2PI, "GC")):
@@ -276,7 +231,7 @@ def evaluate_log(x: GammaExpression, s: float, guard: float = SINGULARITY_GUARD)
             if e % 2 and sg < 0:
                 sign = -sign
     for m, e in x.lin.items():
-        if abs(s - m) < guard:
+        if s == m or abs(s - m) < guard:
             raise SingularEvaluationError(
                 f"linear factor root m={m} near s={s}")
         v = (s - m) / (2.0 * math.pi)
@@ -288,11 +243,16 @@ def evaluate_log(x: GammaExpression, s: float, guard: float = SINGULARITY_GUARD)
     return total, sign
 
 
+def _a2(halves: int) -> str:
+    """The exponent halves/2 of 2 in lowest terms: ``3``, ``-1/2``."""
+    return str(halves // 2) if halves % 2 == 0 else f"{halves}/2"
+
+
 def render(x: GammaExpression) -> str:
     """Plain-text form, e.g. ``2^(1/2) * GR(s-1)^-1 * ((s+2)/2pi)^1``."""
     parts = []
-    if x.a2:
-        parts.append(f"2^({x.a2})")
+    if x.halves:
+        parts.append(f"2^({_a2(x.halves)})")
     for a, e in sorted(x.gr.items()):
         parts.append(f"GR(s{a:+d})^{e}")
     for a, e in sorted(x.gc.items()):
@@ -303,11 +263,13 @@ def render(x: GammaExpression) -> str:
 
 
 def expression_to_json(x: GammaExpression) -> dict:
-    """JSON-stable dict form; exponent tables keyed by stringified ints.
-    ``pre`` keeps the zero coefficients of 2^s, pi and pi^s beside a2."""
+    """JSON-stable dict form; exponent tables keyed by stringified ints,
+    the prefactor as the exponent a2 = halves/2 of 2."""
     return {
         "gr": {str(a): e for a, e in sorted(x.gr.items())},
         "gc": {str(a): e for a, e in sorted(x.gc.items())},
         "lin": {str(m): e for m, e in sorted(x.lin.items())},
-        "pre": {"a2": str(x.a2), "b2": "0", "api": "0", "bpi": "0"},
+        # b2, api and bpi (2^s, pi, pi^s) are always 0 here, but
+        # benchmark/reference.py expression_log reads all four keys
+        "pre": {"a2": _a2(x.halves), "b2": "0", "api": "0", "bpi": "0"},
     }

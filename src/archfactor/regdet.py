@@ -15,16 +15,17 @@ zeta_H'(0, x) = log Gamma(x) - (1/2) log(2*pi) gives the closed forms
     step 2:  det = 2^(mu/2) * GR(s - m0)^(-mu).
 
 Finite progressions are plain products of the factors (s - m)/(2*pi).
-The closed forms are added into exact :class:`Tables` of exponents;
-:func:`hurwitz_zeta_deriv0` evaluates -zeta_block'(0) for mu = 1 by
-direct Euler-Maclaurin summation, with no Gamma function anywhere, and
-serves as the independent numerical oracle for all of the above.
+The closed forms are added into the exponent tables of a
+:class:`GammaExpression`; :func:`hurwitz_zeta_deriv0` evaluates
+-zeta_block'(0) for mu = 1 by direct Euler-Maclaurin summation, with no
+Gamma function anywhere, and serves as the independent numerical oracle
+for all of the above.
 """
 
 import math
 
-from .cyclic import Progression, SpectralMeasure
-from .gamma import GammaExpression, Tables
+from .cyclic import Progression
+from .gamma import GammaExpression
 
 # Euler-Maclaurin configuration: explicit terms, then B_2 .. B_12
 # correction terms on the remainder.
@@ -39,7 +40,8 @@ _B_EVEN = (
 )
 
 
-def add_tail_determinants(out: Tables, step: int, tails, k: int = 1) -> Tables:
+def add_tail_determinants(out: GammaExpression, step: int, tails,
+                          k: int = 1) -> GammaExpression:
     """Multiply the k-th power of the block determinant of each infinite
     tail (first, multiplicity) of one step into ``out``, in closed form."""
     if step not in (1, 2):
@@ -54,30 +56,17 @@ def add_tail_determinants(out: Tables, step: int, tails, k: int = 1) -> Tables:
     return out
 
 
-def add_block_determinants(out: Tables, progressions, k: int = 1) -> Tables:
-    """Multiply the k-th power of each progression's block determinant
-    into ``out``, a finite one as a plain product."""
-    for p in progressions:
-        mu = k * p.multiplicity
-        if mu == 0 or p.count == 0:
-            continue
-        if p.count is None:
-            add_tail_determinants(out, p.step, ((p.first, mu),))
-        else:
-            for m in range(p.first, p.first - p.count * p.step, -p.step):
-                out.lin[m] = out.lin.get(m, 0) + mu
-    return out
-
-
 def regdet_progression(p: Progression) -> GammaExpression:
-    """Exact closed form of the block determinant of one progression."""
-    return add_block_determinants(Tables(), (p,)).expression()
-
-
-def ratio_tables(measure: SpectralMeasure) -> Tables:
-    """Tables of the even/odd ratio of block determinants."""
-    return add_block_determinants(add_block_determinants(
-        Tables(), measure.even), measure.odd, -1)
+    """Exact closed form of the block determinant of one progression; a
+    finite one is a plain product of linear factors."""
+    out = GammaExpression()
+    if p.multiplicity == 0 or p.count == 0:
+        return out
+    if p.count is None:
+        return add_tail_determinants(out, p.step, ((p.first, p.multiplicity),))
+    out.lin = {m: p.multiplicity for m in range(
+        p.first - (p.count - 1) * p.step, p.first + 1, p.step)}
+    return out
 
 
 def hurwitz_zeta_deriv0(x: float, two_pi_over_delta: float) -> float:

@@ -21,8 +21,9 @@ from collections import namedtuple
 
 from .cyclic import weight_tails
 from .factors import serre_tables
-from .gamma import (LN2, SINGULARITY_GUARD, EvaluationRangeError, Tables,
-                    evaluate_log, nearest_divisor_point, normal_tables, render)
+from .gamma import (LN2, SINGULARITY_GUARD, EvaluationRangeError,
+                    GammaExpression, evaluate_log, nearest_divisor_point,
+                    normalize, render)
 from .hodge import HodgeData, Place, validate
 from .regdet import add_tail_determinants
 
@@ -107,12 +108,13 @@ def verify_theorem(data: HodgeData, samples=None,
         if not samples:
             raise ValueError("need at least one sample point")
 
-    lhs, rhs, quotient = Tables(), Tables(), Tables()
+    lhs, rhs, quotient = (GammaExpression() for _ in range(3))
     per_weight = []
     for piece in data.weights:
         k = 1 if piece.w % 2 else -1
         x = serre_tables(piece, data.place, k)
-        y = add_tail_determinants(Tables(), *weight_tails(data, piece.w), -k)
+        y = add_tail_determinants(GammaExpression(),
+                                  *weight_tails(data, piece.w), -k)
         # x / y in GR shifts (each GC as two), linear exponents and halves
         shifts, lin, halves = {}, {}, 0
         for total, t, sign in ((lhs, x, 1), (rhs, y, -1)):
@@ -136,8 +138,7 @@ def verify_theorem(data: HodgeData, samples=None,
             quotient.halves -= h
         else:
             quotient.add(x).add(y, -1)
-    residue = normal_tables(quotient)
-    lhs, rhs, residue = (t.expression() for t in (lhs, rhs, residue))
+    lhs, rhs, residue = lhs.clean(), rhs.clean(), normalize(quotient)
     witness = nearest_divisor_point(residue)
 
     points, diffs = [], []
@@ -158,6 +159,6 @@ def verify_theorem(data: HodgeData, samples=None,
         residue=residue,
         constant_stddev=spread(diffs),  # first: it rejects a non-finite diff
         constant_log=(math.fsum(diffs) / len(diffs) if residue.gr or residue.lin
-                      else float(residue.a2) * LN2),
+                      else residue.halves / 2 * LN2),
         samples=tuple(points),
     )

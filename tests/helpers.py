@@ -58,7 +58,7 @@ def random_expression(rng: random.Random, size: int = 3) -> GammaExpression:
         table = rng.choice([gr, gc, lin])
         k = rng.randint(-4, 4)
         table[k] = table.get(k, 0) + rng.choice([-2, -1, 1, 2])
-    return GammaExpression(gr=gr, gc=gc, lin=lin)
+    return GammaExpression(gr=gr, gc=gc, lin=lin).clean()
 
 
 def nonsingular_points(rng: random.Random, expr, count: int,

@@ -12,7 +12,7 @@ import archfactor.cli as cli_module
 import archfactor.factors as factors_module
 import archfactor.hodge as hodge_module
 import archfactor.verify as verify_module
-from archfactor import (PRESET_NAMES, Place, Progression, SpectralMeasure,
+from archfactor import (PRESET_NAMES, Place, SpectralMeasure,
                         completed_alternating_product, preset, to_json_dict,
                         verify_theorem)
 from archfactor.cli import main
@@ -146,10 +146,10 @@ def test_spectrum_listing_is_pinned(capsys, name, heads, tails, constants):
         listed = [(t["first"], t["step"], t["multiplicity"])
                   for t in doc[label]["tails"]]
         assert sorted(listed) == sorted(tails[label])
-        measure = SpectralMeasure(
-            tuple(Progression(f, step, None, mult) for f, step, mult in listed),
-            ())
-        assert measure.tail_constants(0) == constants[label]
+        # the eventual multiplicity per residue class of m mod 2
+        measure, far = SpectralMeasure(listed, ()), -10 ** 6
+        assert {0: measure.multiplicity(0, far),
+                1: measure.multiplicity(0, far - 1)} == constants[label]
 
 
 def test_regdet_command(capsys):
@@ -170,6 +170,14 @@ def test_regdet_bad_progression_exit_two(capsys, flag, value, message):
     code, out, err = run(capsys, "regdet", "--first", "0", flag, value)
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_regdet_exact_root_with_guard_zero_exit_two(capsys):
+    # guard 0 refuses only the root itself, named like any other
+    code, out, err = run(capsys, "regdet", "--first", "2", "--finite", "3",
+                         "--s", "2", "--guard", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: linear factor root m=2 near s=2.0"]
 
 
 def test_verify_ok_exit_zero(capsys):
@@ -583,7 +591,8 @@ def test_import_pulls_in_no_dataclasses_or_typing():
     # the start-up of every command pays for what the package imports;
     # -S keeps site's own imports out of sys.modules
     code = ("import archfactor.cli, sys; print(' '.join(sorted("
-            "{'dataclasses', 'inspect', 'statistics', 'typing'}"
+            "{'dataclasses', 'decimal', 'fractions', 'inspect', 'statistics',"
+            " 'typing'}"
             " & set(sys.modules))))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,

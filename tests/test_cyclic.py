@@ -6,8 +6,18 @@ from archfactor import (Place, Progression, SpectralMeasure, a_to_e, betti,
                         direct_sum, e_to_a, har_dim, har_dim_from_sequence,
                         hc_dim, hc_dim_complex, hn_dim, hp_dim,
                         is_cyclic_pair, is_pole_pair, pole_order, preset,
-                        same_spectrum, theta_spectrum, weight_spectrum)
+                        regdet_progression, theta_spectrum)
+from archfactor.cyclic import weight_tails
 from helpers import full_diamond, random_hodge_data
+
+FAR = -10 ** 6  # left of every tail's first eigenvalue, an even m
+
+
+def spectrum(measure, lo=-30, hi=10):
+    """Both parities' multiplicities on [lo, hi) and far to the left, at
+    an even and an odd m, where every tail has long begun."""
+    return [[measure.multiplicity(parity, m)
+             for m in (*range(lo, hi), FAR, FAR - 1)] for parity in (0, 1)]
 
 
 def test_index_bijection_examples():
@@ -146,12 +156,12 @@ def test_hc_stability_in_degree():
 
 
 def test_progression_membership():
-    p = Progression(-3, 2, None, 1)
-    assert p.contains(-3) and p.contains(-7)
-    assert not p.contains(-4) and not p.contains(-1)
-    f = Progression(5, 1, 3, 2)
-    assert f.contains(5) and f.contains(3) and not f.contains(2)
-    assert f.last() == 3
+    tail = SpectralMeasure(((-3, 2, 1),), ())
+    assert tail.multiplicity(0, -3) == tail.multiplicity(0, -7) == 1
+    assert tail.multiplicity(0, -4) == tail.multiplicity(0, -1) == 0
+    assert tail.multiplicity(1, -3) == 0
+    finite = regdet_progression(Progression(5, 1, 3, 2))
+    assert finite.lin == {3: 2, 4: 2, 5: 2}
 
 
 @pytest.mark.parametrize("args, message", [
@@ -168,37 +178,36 @@ def test_progression_rejects_bad_fields(args, message):
 def test_point_complex_spectrum():
     measure = theta_spectrum(preset("point_C"))
     # one eigenvalue per nonpositive integer
-    canonical = SpectralMeasure((Progression(0, 1, None, 1),), ())
-    assert same_spectrum(measure, canonical)
+    canonical = SpectralMeasure(((0, 1, 1),), ())
+    assert spectrum(measure) == spectrum(canonical)
     assert measure.odd == ()
 
 
 def test_point_real_spectrum():
     measure = theta_spectrum(preset("point_R"))
-    canonical = SpectralMeasure((Progression(0, 2, None, 1),), ())
-    assert same_spectrum(measure, canonical)
+    canonical = SpectralMeasure(((0, 2, 1),), ())
+    assert spectrum(measure) == spectrum(canonical)
 
 
 def test_elliptic_complex_spectrum():
     measure = theta_spectrum(preset("elliptic_C"))
-    odd = SpectralMeasure((), (Progression(0, 1, None, 2),))
-    assert same_spectrum(SpectralMeasure((), measure.odd), odd)
-    even = SpectralMeasure((Progression(1, 1, None, 1),
-                            Progression(0, 1, None, 1)), ())
-    assert same_spectrum(SpectralMeasure(measure.even, ()), even)
+    odd = SpectralMeasure((), ((0, 1, 2),))
+    assert spectrum(SpectralMeasure((), measure.odd)) == spectrum(odd)
+    even = SpectralMeasure(((1, 1, 1), (0, 1, 1)), ())
+    assert spectrum(SpectralMeasure(measure.even, ())) == spectrum(even)
 
 
 def test_weight_spectrum_single_weight():
-    m2 = weight_spectrum(preset("P1_C"), 2)
-    assert same_spectrum(m2, SpectralMeasure((Progression(1, 1, None, 1),), ()))
-    m0 = weight_spectrum(preset("P1_C"), 0)
-    assert same_spectrum(m0, SpectralMeasure((Progression(0, 1, None, 1),), ()))
+    m2 = theta_spectrum(preset("P1_C"), 2)
+    assert spectrum(m2) == spectrum(SpectralMeasure(((1, 1, 1),), ()))
+    m0 = theta_spectrum(preset("P1_C"), 0)
+    assert spectrum(m0) == spectrum(SpectralMeasure(((0, 1, 1),), ()))
     with pytest.raises(ValueError):
-        weight_spectrum(preset("P1_C"), 3)
+        theta_spectrum(preset("P1_C"), 3)
 
 
 def test_weight_spectrum_absent_weight_empty():
-    m1 = weight_spectrum(preset("P1_C"), 1)
+    m1 = theta_spectrum(preset("P1_C"), 1)
     assert m1.even == () and m1.odd == ()
 
 
@@ -207,7 +216,7 @@ def test_spectrum_multiplicities_match_pole_orders():
     for _ in range(30):
         data = random_hodge_data(rng, max_dim=3)
         for w in range(0, 2 * data.dim + 1):
-            measure = weight_spectrum(data, w)
+            measure = theta_spectrum(data, w)
             parity = w % 2
             for m in range(-12, w // 2 + 2):
                 assert (measure.multiplicity(parity, m)
@@ -224,32 +233,16 @@ def test_spectrum_additive_under_direct_sum():
         ma, mb = theta_spectrum(a), theta_spectrum(b)
         d = max(a.dim, b.dim)
         for parity in (0, 1):
-            assert (total.tail_constants(parity)[0]
-                    == ma.tail_constants(parity)[0]
-                    + mb.tail_constants(parity)[0])
-            assert (total.tail_constants(parity)[1]
-                    == ma.tail_constants(parity)[1]
-                    + mb.tail_constants(parity)[1])
-            for m in range(-24, d + 2):
+            for m in (FAR, FAR - 1, *range(-24, d + 2)):
                 assert (total.multiplicity(parity, m)
                         == ma.multiplicity(parity, m)
                         + mb.multiplicity(parity, m))
 
 
-def head_and_tails(data, w):
-    """The encoding weight_spectrum had before tails only, rebuilt from
-    pole_order: one eigenvalue at a time from floor(w/2) down to -2,
-    then a step-1 tail from -3 at a complex place, or step-2 tails from
-    -3 and -4 at a real place."""
-    heads = [(m, 1, 1) for m in range(w // 2, -3, -1)]
-    tails = ([(-3, 1, None)] if data.place is Place.COMPLEX
-             else [(-3, 2, None), (-4, 2, None)])
-    progs = tuple(Progression(first, step, count, pole_order(data, w, first))
-                  for first, step, count in heads + tails)
-    return SpectralMeasure((), progs) if w % 2 else SpectralMeasure(progs, ())
-
-
 def test_tails_match_the_head_encoding():
+    # the tails give every multiplicity the pole orders give: one at a
+    # time down to m = -8, and far to the left the pole order at -3 (and
+    # -4 at a real place, per residue class of m mod 2)
     rng = random.Random(808)
     datasets = [random_hodge_data(rng, max_dim=9,
                                   max_entry=rng.choice((4, 10 ** 6)),
@@ -259,8 +252,16 @@ def test_tails_match_the_head_encoding():
                  for d in range(13) for place in Place]
     for data in datasets:
         for piece in data.weights:
-            measure = weight_spectrum(data, piece.w)
-            assert same_spectrum(measure, head_and_tails(data, piece.w))
-            progs = measure.even + measure.odd
-            assert all(p.count is None for p in progs)
-            assert len(progs) <= 2 * len(piece.hpq) + 2
+            w = piece.w
+            measure = theta_spectrum(data, w)
+            real = data.place is Place.REAL
+            for m in range(w // 2 + 2, -9, -1):
+                assert (measure.multiplicity(w % 2, m)
+                        == pole_order(data, w, m)), (data, w, m)
+            for m in (FAR, FAR - 1):
+                periodic = -3 if not real or (m + 3) % 2 == 0 else -4
+                assert (measure.multiplicity(w % 2, m)
+                        == pole_order(data, w, periodic)), (data, w, m)
+            step, tails = weight_tails(data, w)
+            assert step == (2 if real else 1)
+            assert len(tails) <= 2 * len(piece.hpq) + 2

@@ -2,27 +2,28 @@ import random
 
 import pytest
 
-from archfactor import (Place, WeightPiece, betti, completed_alternating_product,
-                        direct_sum, gamma_c, gamma_r, identity, order_at,
+from archfactor import (GammaExpression, Place, WeightPiece, betti,
+                        completed_alternating_product, direct_sum, order_at,
                         pole_order, preset, product, serre_factor)
 from helpers import random_hodge_data
 
 
 def test_point_real_factor():
     data = preset("point_R")
-    assert serre_factor(data.piece(0), data.place) == gamma_r(0, 1)
-    assert completed_alternating_product(data) == gamma_r(0, -1)
+    assert serre_factor(data.piece(0), data.place) == GammaExpression(gr={0: 1})
+    assert completed_alternating_product(data) == GammaExpression(gr={0: -1})
 
 
 def test_point_complex_factor():
     data = preset("point_C")
-    assert serre_factor(data.piece(0), data.place) == gamma_c(0, 1)
-    assert completed_alternating_product(data) == gamma_c(0, -1)
+    assert serre_factor(data.piece(0), data.place) == GammaExpression(gc={0: 1})
+    assert completed_alternating_product(data) == GammaExpression(gc={0: -1})
 
 
 def test_projective_line_complex():
     data = preset("P1_C")
-    assert serre_factor(data.piece(2), data.place) == gamma_c(-1, 1)
+    assert serre_factor(data.piece(2), data.place) == GammaExpression(
+        gc={-1: 1})
     product = completed_alternating_product(data)
     assert product.gc == {0: -1, -1: -1}
 
@@ -30,7 +31,8 @@ def test_projective_line_complex():
 def test_projective_line_real_weight_two():
     # middle split (1, 0) at w = 2 lands on GR(s-1), not GR(s-2+1)^swap
     data = preset("P1_R")
-    assert serre_factor(data.piece(2), data.place) == gamma_r(-1, 1)
+    assert serre_factor(data.piece(2), data.place) == GammaExpression(
+        gr={-1: 1})
     product = completed_alternating_product(data)
     assert product.gr == {0: -1, -1: -1}
 
@@ -38,8 +40,8 @@ def test_projective_line_real_weight_two():
 def test_elliptic_weight_one_both_places():
     e_r = preset("elliptic_R")
     e_c = preset("elliptic_C")
-    assert serre_factor(e_r.piece(1), e_r.place) == gamma_c(0, 1)
-    assert serre_factor(e_c.piece(1), e_c.place) == gamma_c(0, 2)
+    assert serre_factor(e_r.piece(1), e_r.place) == GammaExpression(gc={0: 1})
+    assert serre_factor(e_c.piece(1), e_c.place) == GammaExpression(gc={0: 2})
 
 
 def test_elliptic_real_completed_product():
@@ -60,20 +62,20 @@ def test_missing_split_raises():
     with pytest.raises(ValueError):
         serre_factor(piece, Place.REAL)
     # fine at a complex place
-    assert serre_factor(piece, Place.COMPLEX) == gamma_c(-1, 1)
+    assert serre_factor(piece, Place.COMPLEX) == GammaExpression(gc={-1: 1})
 
 
 def test_complex_place_ordered_pairs_double():
     # h^{0,1} = h^{1,0} = g contributes GC(s)^{2g} at a complex place
     piece = WeightPiece(1, {(0, 1): 3, (1, 0): 3})
-    assert serre_factor(piece, Place.COMPLEX) == gamma_c(0, 6)
-    assert serre_factor(piece, Place.REAL) == gamma_c(0, 3)
+    assert serre_factor(piece, Place.COMPLEX) == GammaExpression(gc={0: 6})
+    assert serre_factor(piece, Place.REAL) == GammaExpression(gc={0: 3})
 
 
 def test_empty_data_gives_identity():
     from archfactor import HodgeData
     data = HodgeData("empty", 1, Place.COMPLEX, ())
-    assert completed_alternating_product(data) == identity()
+    assert completed_alternating_product(data) == GammaExpression()
 
 
 def test_pole_support_bounded_by_half_weight():
@@ -106,6 +108,6 @@ def test_factor_divisor_matches_pole_order():
         for w in range(0, 2 * data.dim + 1):
             piece = data.piece(w)
             x = (serre_factor(piece, data.place)
-                 if piece is not None else identity())
+                 if piece is not None else GammaExpression())
             for m in range(-12, w // 2 + 1):
                 assert order_at(x, m) == -pole_order(data, w, m)

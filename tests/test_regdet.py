@@ -3,41 +3,42 @@ import random
 
 import pytest
 
-from archfactor import (GammaExpression, Progression, SpectralMeasure,
-                        evaluate_log, gamma_c, gamma_r, identity,
-                        hurwitz_zeta_deriv0, normalize, order_at, power,
-                        product, regdet_progression)
-from archfactor.regdet import ratio_tables
-from fractions import Fraction
+from archfactor import (GammaExpression, Progression, evaluate_log,
+                        hurwitz_zeta_deriv0, normalize, order_at, product,
+                        regdet_progression)
 
 
 def test_step_one_closed_form():
     p = Progression(0, 1, None, 1)
-    assert regdet_progression(p) == gamma_c(0, -1)
+    assert regdet_progression(p) == GammaExpression(gc={0: -1})
     p = Progression(-2, 1, None, 3)
-    assert regdet_progression(p) == gamma_c(2, -3)
+    assert regdet_progression(p) == GammaExpression(gc={2: -3})
 
 
 def test_step_two_closed_form_carries_sqrt2():
     p = Progression(1, 2, None, 1)
     x = regdet_progression(p)
     assert x.gr == {-1: -1}
-    assert x.a2 == Fraction(1, 2)
+    assert x.halves == 1
     p = Progression(0, 2, None, 2)
     x = regdet_progression(p)
-    assert x.gr == {0: -2} and x.a2 == 1
+    assert x.gr == {0: -2} and x.halves == 2
 
 
 def test_finite_progression_is_plain_product():
     p = Progression(3, 2, 3, 2)
     x = regdet_progression(p)
     assert x.lin == {3: 2, 1: 2, -1: 2}
-    assert x.gr == {} and x.gc == {}
+    assert list(x.lin) == [-1, 1, 3]  # clean: sorted
+    assert x.gr == {} and x.gc == {} and x.halves == 0
 
 
 def test_empty_progression_gives_identity():
-    assert regdet_progression(Progression(5, 1, 0, 3)) == identity()
-    assert regdet_progression(Progression(5, 1, None, 0)) == identity()
+    assert regdet_progression(Progression(5, 1, 0, 3)) == GammaExpression()
+    assert regdet_progression(Progression(5, 1, None, 0)) == GammaExpression()
+    # an empty progression needs no closed form, whatever its step
+    assert regdet_progression(Progression(5, 3, 0, 3)) == GammaExpression()
+    assert regdet_progression(Progression(5, 3, None, 0)) == GammaExpression()
 
 
 def test_unsupported_step_rejected():
@@ -48,7 +49,7 @@ def test_unsupported_step_rejected():
 def test_oracle_matches_step_one():
     # det over {s+k} = GC(s)^-1 exactly, constant 1
     for s in (0.7, 1.5, 3.2):
-        closed, sign = evaluate_log(gamma_c(0, -1), s)
+        closed, sign = evaluate_log(GammaExpression(gc={0: -1}), s)
         oracle = hurwitz_zeta_deriv0(s, 2 * math.pi)
         assert sign == 1
         assert abs(closed - oracle) < 1e-8 * max(1.0, abs(oracle))
@@ -83,7 +84,7 @@ def test_hurwitz_reference_value():
     # is log(2 pi) (both routes below are independent of each other)
     oracle = hurwitz_zeta_deriv0(1.0, 2 * math.pi)
     assert abs(oracle - math.log(2 * math.pi)) < 1e-10
-    closed, sign = evaluate_log(gamma_c(0, -1), 1.0)
+    closed, sign = evaluate_log(GammaExpression(gc={0: -1}), 1.0)
     assert sign == 1
     assert abs(oracle - closed) < 1e-10
 
@@ -121,15 +122,12 @@ def test_splitting_invariance_numeric():
 
 
 def test_measure_determinants_and_ratio():
-    measure = SpectralMeasure(
-        even=(Progression(0, 1, None, 1),),
-        odd=(Progression(-1, 1, None, 2), Progression(1, 1, 1, 1)),
-    )
-    even = ratio_tables(SpectralMeasure(measure.even, ())).expression()
-    odd = ratio_tables(SpectralMeasure((), measure.odd)).expression()
-    assert even == gamma_c(0, -1)
-    assert power(odd, -1) == GammaExpression(gc={1: -2}, lin={1: 1})
-    assert (ratio_tables(measure).expression()
+    even = product(regdet_progression(p) for p in (Progression(0, 1, None, 1),))
+    odd = product(regdet_progression(p) for p in (
+        Progression(-1, 1, None, 2), Progression(1, 1, 1, 1)))
+    assert even == GammaExpression(gc={0: -1})
+    assert odd == GammaExpression(gc={1: -2}, lin={1: 1})
+    assert (GammaExpression().add(even).add(odd, -1)
             == GammaExpression(gc={0: -1, 1: 2}, lin={1: -1}))
 
 
@@ -141,8 +139,8 @@ def test_measure_determinant_multiplicative():
                         rng.choice([None, rng.randint(1, 4)]),
                         rng.randint(1, 3))
             for _ in range(4))
-        whole = ratio_tables(SpectralMeasure(progs, ())).expression()
-        split = identity()
+        whole = product(regdet_progression(p) for p in progs)
+        split = GammaExpression()
         for p in progs:
             split = product((split, regdet_progression(p)))
         assert whole == split
@@ -157,7 +155,10 @@ def test_divisor_of_determinant_is_multiplicity():
             step = rng.choice([1, 2])
             count = rng.choice([None, rng.randint(1, 5)])
             progs.append(Progression(first, step, count, rng.randint(1, 3)))
-        measure = SpectralMeasure(tuple(progs), ())
-        det = ratio_tables(measure).expression()
+        det = product(regdet_progression(p) for p in progs)
         for m in range(-20, 6):
-            assert order_at(det, m) == measure.multiplicity(0, m)
+            # the progressions through m, each k steps below its first
+            assert order_at(det, m) == sum(
+                p.multiplicity for p in progs
+                if (p.first - m) % p.step == 0 and 0 <= (p.first - m) // p.step
+                and (p.count is None or (p.first - m) // p.step < p.count))

@@ -13,12 +13,10 @@ import archfactor.gamma as gamma_module
 import archfactor.verify as verify_module
 from archfactor import (PRESET_NAMES, GammaExpression, HodgeData, Place,
                         Progression, SingularEvaluationError, WeightPiece,
-                        gamma_c, gamma_r, identity, linear,
-                        nearest_divisor_point, normalize, power, prefactor,
-                        preset, product, serre_factor, verify_theorem,
-                        weight_spectrum)
+                        nearest_divisor_point, normalize, preset, product,
+                        regdet_progression, serre_factor, theta_spectrum,
+                        verify_theorem)
 from archfactor.gamma import EvaluationRangeError
-from archfactor.regdet import ratio_tables
 from archfactor.verify import spread
 from helpers import full_diamond, random_hodge_data
 
@@ -105,7 +103,8 @@ def test_constant_is_asserted(monkeypatch, name, a2, allowed):
 
     def scaled(out, step, tails, k=1):
         # every block determinant of the weight times 2^a2
-        return exact(out, step, tails, k).add(prefactor(a2=a2), k)
+        return exact(out, step, tails, k).add(
+            GammaExpression(halves=2 * Fraction(a2)), k)
 
     monkeypatch.setattr(verify_module, "add_tail_determinants", scaled)
     report = verify_theorem(preset(name))
@@ -144,13 +143,13 @@ def test_elementary_residues_are_pinned(place):
                          (WeightPiece(0, {(0, 0): 1}, split),))
         report = verify_theorem(data)
         assert report.per_weight == ((0, True),)
-        assert report.residue == prefactor(Fraction(-1 if real else 0, 2))
+        assert report.residue == GammaExpression(halves=-1 if real else 0)
     for n in (1, 2, 3, 10, 999, 10 ** 4, 10 ** 6, 2 ** 53):
         data = HodgeData("pair", (n + 1) // 2, place,
                          (WeightPiece(n, {(0, n): 1, (n, 0): 1}),))
         report = verify_theorem(data)
         assert report.per_weight == ((n, True),), n
-        assert report.residue == identity(), n
+        assert report.residue == GammaExpression(), n
 
 
 def _twist(data):
@@ -200,7 +199,7 @@ def test_tate_twist_moves_the_residue_to_s_minus_one(monkeypatch):
         assert twisted.residue == normalize(GammaExpression(
             {a - 1: e for a, e in x.gr.items()},
             {a - 1: e for a, e in x.gc.items()},
-            {m + 1: e for m, e in x.lin.items()}, x.a2)), data
+            {m + 1: e for m, e in x.lin.items()}, x.halves)), data
         mismatched += not report.ok()
     assert mismatched > 100
 
@@ -213,7 +212,7 @@ def test_samples_agree_with_exact_constant():
     for data in datasets:
         report = verify_theorem(data)
         assert report.ok(), data
-        exact = float(report.residue.a2) * math.log(2)
+        exact = report.residue.halves / 2 * math.log(2)
         for p in report.samples:
             assert (abs(p.lhs_log - p.rhs_log - exact)
                     <= 1e-10 * max(1.0, abs(p.lhs_log))), (data, p)
@@ -281,10 +280,11 @@ def test_stray_root_is_witnessed(monkeypatch, offset):
     exact = verify_module.add_tail_determinants
     data = preset("P2_C")
     root = data.dim + offset
+    stray = GammaExpression(lin={root: 1})
 
     def shifted(out, step, tails, k=1):
         # a linear factor ((s - root)/2pi) in each weight's RHS
-        return exact(out, step, tails, k).add(linear(root), -1)
+        return exact(out, step, tails, k).add(stray, -1)
 
     monkeypatch.setattr(verify_module, "add_tail_determinants", shifted)
     report = verify_theorem(data)
@@ -337,11 +337,15 @@ def test_integer_tables_match_the_expression_route(monkeypatch):
         ratios, residues, per_weight = [], [], []
         for piece in data.weights:
             w = piece.w
-            lhs_w = power(serre_factor(piece, data.place), 1 if w % 2 else -1)
-            ratios.append(ratio_tables(weight_spectrum(data, w)).expression())
-            residues.append(normalize(product((lhs_w, power(ratios[-1], -1)))))
+            k = 1 if w % 2 else -1
+            lhs_w = GammaExpression().add(serre_factor(piece, data.place), k)
+            measure = theta_spectrum(data, w)  # even dets over odd ones
+            dets = product(regdet_progression(Progression(f, step, None, mult))
+                           for f, step, mult in measure.even + measure.odd)
+            ratios.append(GammaExpression().add(dets, -k).clean())
+            residues.append(normalize(lhs_w.add(ratios[-1], -1)))
             h = piece.middle() if data.place is Place.REAL else 0
-            per_weight.append((w, residues[-1] == prefactor(Fraction(-h, 2))))
+            per_weight.append((w, residues[-1] == GammaExpression(halves=-h)))
         assert report.per_weight == tuple(per_weight), data
         assert report.residue == product(residues), data
         assert evaluated[1] == product(ratios), data
@@ -352,7 +356,7 @@ def test_integer_tables_match_the_expression_route(monkeypatch):
 def test_verify_builds_no_progression_and_one_normal_form(monkeypatch):
     progressions, normal_forms = [], []
     exact_init = Progression.__init__
-    exact_normal = verify_module.normal_tables
+    exact_normal = verify_module.normalize
 
     def counted_init(self, *args):
         progressions.append(args)
@@ -363,7 +367,7 @@ def test_verify_builds_no_progression_and_one_normal_form(monkeypatch):
         return exact_normal(x)
 
     monkeypatch.setattr(Progression, "__init__", counted_init)
-    monkeypatch.setattr(verify_module, "normal_tables", counted_normal)
+    monkeypatch.setattr(verify_module, "normalize", counted_normal)
     rng = random.Random(805)
     datasets = [preset(name) for name in PRESET_NAMES]
     datasets += [random_hodge_data(rng, max_dim=4) for _ in range(20)]
@@ -373,29 +377,27 @@ def test_verify_builds_no_progression_and_one_normal_form(monkeypatch):
         verify_theorem(data)
         assert len(normal_forms) == 1, data
     assert progressions == []
-    weight_spectrum(preset("P2_C"), 2)  # the wrapper itself still counts
+    Progression(0, 1, None, 1)  # the counter itself counts
     assert progressions
 
 
 def test_expressions_built_do_not_follow_the_progressions(monkeypatch):
-    # the tables build the LHS, the RHS and the residue, once each,
-    # however many progressions the spectrum has
-    exact = GammaExpression.__init__
-    built = []
+    # the LHS, the RHS and the residue are each cleaned once, however
+    # many weights and tails the spectrum has
+    exact = GammaExpression.clean
+    cleaned = []
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        exact(self, *args, **kwargs)
+    def counted(self):
+        cleaned.append(self)
+        return exact(self)
 
-    monkeypatch.setattr(GammaExpression, "__init__", counted)
+    monkeypatch.setattr(GammaExpression, "clean", counted)
     for place in Place:
-        counts = []
         for d in (4, 12):
             data = full_diamond(place, 1, d)
-            built.clear()
+            cleaned.clear()
             assert verify_theorem(data).ok()
-            counts.append(len(built))
-        assert counts[0] == counts[1], (place, counts)
+            assert len(cleaned) == 3, (place, d)
 
 
 def test_serre_tables_built_once_per_weight(monkeypatch):
@@ -451,12 +453,14 @@ def test_report_json_shape():
 
 @pytest.mark.parametrize("lhs, rhs, witness", [
     # GR(s) vs GC(s): first disagreement at the missing odd pole m = -1
-    pytest.param(gamma_r(0, 1), gamma_c(0, 1), -1, id="odd_pole"),
+    pytest.param(GammaExpression(gr={0: 1}), GammaExpression(gc={0: 1}), -1,
+                 id="odd_pole"),
     # one pole at -6 each, then the odd poles of GC(s+6) from -7 on
-    pytest.param(gamma_r(6, 1), gamma_c(6, 1), -7, id="odd_tail"),
+    pytest.param(GammaExpression(gr={6: 1}), GammaExpression(gc={6: 1}), -7,
+                 id="odd_tail"),
 ])
 def test_residue_witness(lhs, rhs, witness):
-    residue = normalize(product((lhs, power(rhs, -1))))
+    residue = normalize(GammaExpression().add(lhs).add(rhs, -1))
     assert nearest_divisor_point(residue) == witness
 
 
