@@ -74,12 +74,10 @@ def _cmd_presets(args) -> int:
 
 def _cmd_factors(args) -> int:
     data = load_input(args.input)
-    per_weight = {}
-    product = gamma.GammaExpression()
-    for piece in data.weights:
-        per_weight[piece.w] = x = serre_tables(piece, data.place).clean()
-        product.add(x, 1 if piece.w % 2 else -1)
-    product.clean()
+    per_weight = {piece.w: serre_tables(piece, data.place).clean()
+                  for piece in data.weights}
+    product = gamma.product(x if w % 2 else gamma.GammaExpression().add(x, -1)
+                            for w, x in per_weight.items())
     if args.json:
         _emit({"name": data.name,
                "weights": {str(w): gamma.expression_to_json(x)
@@ -221,8 +219,10 @@ def _checked(kind, accept, expected: str):
     return parse
 
 
-# every float flag, and the flags that set the size of the output
+# every float and integer flag, and the flags that set the size of the output
 _finite_float = _checked(float, math.isfinite, "a finite number")
+_integer = _checked(int, lambda n: abs(n) <= 2 ** 53,
+                    "an integer with |n| <= 2^53")
 _row_count = _checked(int, lambda n: 0 <= n <= MAX_ROWS,
                       f"an integer from 0 to {MAX_ROWS}")
 
@@ -233,76 +233,71 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gamma factors, pole orders and regularized "
                     "determinants for Hodge-numeric data")
     sub = ap.add_subparsers(dest="command", required=True)
+    # the flags several commands share, each declared once
+    json_flag, input_arg, guard_flag = (
+        argparse.ArgumentParser(add_help=False) for _ in range(3))
+    json_flag.add_argument("--json", action="store_true")
+    input_arg.add_argument("input", help="JSON path or preset:NAME")
+    guard_flag.add_argument("--guard", type=_finite_float,
+                            default=SINGULARITY_GUARD)
 
-    p = sub.add_parser("presets", help="list built-in geometries")
+    def command(name, fn, help, *shared):
+        p = sub.add_parser(name, help=help, parents=[json_flag, *shared])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("presets", _cmd_presets, "list built-in geometries")
     p.add_argument("--emit", metavar="NAME",
                    help="print the JSON document of one preset")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_presets)
 
-    p = sub.add_parser("factors", help="per-weight local factors")
-    p.add_argument("input", help="JSON path or preset:NAME")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_factors)
+    command("factors", _cmd_factors, "per-weight local factors", input_arg)
 
-    p = sub.add_parser("deligne", help="cohomology dimension at (w, r)")
-    p.add_argument("input")
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_deligne)
+    p = command("deligne", _cmd_deligne, "cohomology dimension at (w, r)",
+                input_arg)
+    p.add_argument("--w", type=_integer, required=True)
+    p.add_argument("--r", type=_integer, required=True)
 
-    p = sub.add_parser("poles", help="pole orders of one weight factor")
-    p.add_argument("input")
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--from", dest="m_from", type=int, required=True)
-    p.add_argument("--to", dest="m_to", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_poles)
+    p = command("poles", _cmd_poles, "pole orders of one weight factor",
+                input_arg)
+    p.add_argument("--w", type=_integer, required=True)
+    p.add_argument("--from", dest="m_from", type=_integer, required=True)
+    p.add_argument("--to", dest="m_to", type=_integer, required=True)
 
-    p = sub.add_parser("spectrum", help="scaling-generator spectrum")
-    p.add_argument("input")
-    p.add_argument("--weight", type=int, default=None,
+    p = command("spectrum", _cmd_spectrum, "scaling-generator spectrum",
+                input_arg)
+    p.add_argument("--weight", type=_integer, default=None,
                    help="restrict to a single weight")
     p.add_argument("--depth", type=_row_count, default=20,
                    help="head rows to print (default 20)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("regdet",
-                       help="closed form of one progression determinant")
-    p.add_argument("--first", type=int, required=True)
-    p.add_argument("--step", type=int, default=1)
-    p.add_argument("--mult", type=int, default=1)
+    p = command("regdet", _cmd_regdet,
+                "closed form of one progression determinant", guard_flag)
+    p.add_argument("--first", type=_integer, required=True)
+    p.add_argument("--step", type=_integer, default=1)
+    p.add_argument("--mult", type=_integer, default=1)
     p.add_argument("--finite", type=_row_count, default=None, metavar="COUNT",
                    help="finite progression with COUNT terms")
     p.add_argument("--s", type=_finite_float, default=None,
                    help="also evaluate at this point")
-    p.add_argument("--guard", type=_finite_float, default=SINGULARITY_GUARD)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_regdet)
 
-    p = sub.add_parser("verify", help="full factorization check")
-    p.add_argument("input")
+    p = command("verify", _cmd_verify, "full factorization check",
+                input_arg, guard_flag)
     p.add_argument("--samples", type=_finite_float, nargs="+", default=None)
-    p.add_argument("--guard", type=_finite_float, default=SINGULARITY_GUARD)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("eval", help="evaluate the completed product")
-    p.add_argument("input")
+    p = command("eval", _cmd_eval, "evaluate the completed product",
+                input_arg, guard_flag)
     p.add_argument("--s", type=_finite_float, required=True)
-    p.add_argument("--guard", type=_finite_float, default=SINGULARITY_GUARD)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_eval)
 
     return ap
 
 
+# built once per process; parse_args leaves the parser as it was
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; pass both through
         return int(exc.code or 0)

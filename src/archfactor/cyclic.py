@@ -32,9 +32,6 @@ tails of all weights, or of one, into a :class:`SpectralMeasure`, one
 parity block per cohomological weight parity.
 """
 
-from bisect import bisect_right
-from itertools import islice
-
 from .deligne import deligne_dim
 from .hodge import HodgeData, Place, betti, betti_eigen
 
@@ -202,9 +199,8 @@ def weight_tails(data: HodgeData, w: int) -> tuple:
     for c in starts:
         if mult := deligne_dim(data, w, w + 1 - c):
             tails.append((c, mult))
-        tails.extend((w - p - (w - p - c) % step, 2 // step * h)
-                     for (p, _), h in islice(piece.hpq.items(), bisect_right(
-                         piece._ps, w - c), None))
+        tails += [(w - p - (w - p - c) % step, 2 // step * h)
+                  for (p, _), h in piece.hpq.items() if p > w - c]
     return step, tails
 
 

@@ -86,9 +86,6 @@ class GammaExpression:
     def __repr__(self) -> str:
         return f"<GammaExpression {render(self)}>"
 
-    def __str__(self) -> str:
-        return render(self)
-
     def add(self, x: "GammaExpression", k: int = 1) -> "GammaExpression":
         """Multiply x^k in, in place."""
         for out, table in ((self.gr, x.gr), (self.gc, x.gc),

@@ -201,12 +201,8 @@ def _make_presets() -> dict:
                         (WeightPiece(0, {(0, 0): 1}, (1, 0)),))
     point_c = HodgeData("point_C", 0, Place.COMPLEX,
                         (WeightPiece(0, {(0, 0): 1}),))
-    p1_r = HodgeData("P1_R", 1, Place.REAL,
-                     (WeightPiece(0, {(0, 0): 1}, (1, 0)),
-                      WeightPiece(2, {(1, 1): 1}, (1, 0))))
-    p1_c = HodgeData("P1_C", 1, Place.COMPLEX,
-                     (WeightPiece(0, {(0, 0): 1}),
-                      WeightPiece(2, {(1, 1): 1})))
+    p1_r = _curve(Place.REAL, "P1_R", 0)
+    p1_c = _curve(Place.COMPLEX, "P1_C", 0)
     p2_c = HodgeData("P2_C", 2, Place.COMPLEX,
                      (WeightPiece(0, {(0, 0): 1}),
                       WeightPiece(2, {(1, 1): 1}),

@@ -388,6 +388,77 @@ def test_non_finite_float_flag_exit_two(capsys, argv):
         f"expected a finite number, got {value!r}"]
 
 
+# every integer flag, with valid values for the others, its own value last
+INTEGER_FLAGS = {
+    "--w": ["deligne", "preset:P1_R", "--r", "1", "--w"],
+    "--r": ["deligne", "preset:P1_R", "--w", "2", "--r"],
+    "--from": ["poles", "preset:P1_R", "--w", "2", "--to", "0", "--from"],
+    "--to": ["poles", "preset:P1_R", "--w", "2", "--from", "0", "--to"],
+    "--weight": ["spectrum", "preset:P1_R", "--weight"],
+    "--first": ["regdet", "--s", "1", "--first"],
+    "--step": ["regdet", "--first", "0", "--s", "1", "--step"],
+    "--mult": ["regdet", "--first", "0", "--s", "1", "--mult"],
+}
+
+
+def assert_flag_refused(code, out, err, command, flag, value, expected):
+    assert code == 2 and out == ""
+    assert error_lines(err) == [
+        f"archfactor {command}: error: argument {flag}: "
+        f"expected {expected}, got {value!r}"]
+
+
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+def test_integer_flag_is_bounded_by_two_to_the_53(capsys, flag):
+    # a 401-digit --first or --mult exited 3 with float()'s OverflowError
+    argv = INTEGER_FLAGS[flag]
+    for value in (str(2 ** 53 + 1), str(-2 ** 53 - 1), str(10 ** 400)):
+        code, out, err = run(capsys, *argv, value)
+        assert_flag_refused(code, out, err, argv[0], flag, value,
+                            "an integer with |n| <= 2^53")
+
+
+def test_integer_flag_at_two_to_the_53_is_accepted(capsys):
+    code, out, err = run(capsys, "deligne", "preset:P1_R", "--w", "2",
+                         "--r", str(2 ** 53))
+    assert (code, out, err) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["spectrum", "preset:P1_R", "--depth"],
+     f"an integer from 0 to {cli_module.MAX_ROWS}"),
+    (["eval", "preset:P1_C", "--s"], "a finite number"),
+], ids=["depth", "s"])
+def test_unparsable_flag_exit_two(capsys, argv, expected):
+    code, out, err = run(capsys, *argv, "abc")
+    assert_flag_refused(code, out, err, argv[0], argv[-1], "abc", expected)
+    assert argv[-1] in err.splitlines()[-1]
+
+
+def test_duplicate_weight_exit_two(tmp_path, capsys):
+    piece = {"w": 1, "hpq": {"1,0": 1, "0,1": 1}}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(
+        {"dim": 1, "place": "complex", "weights": [piece, piece]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: invalid data: weights[w=1]: duplicate weight"]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("build_parser called again")
+
+    monkeypatch.setattr(cli_module, "build_parser", rebuilt)
+    assert run(capsys, "presets")[0] == 0
+    assert run(capsys, "verify", "preset:P1_R")[0] == 0
+    assert run(capsys, "regdet", "--first", "0", "--step", "0")[0] == 2
+    assert run(capsys, "eval", "preset:P1_C", "--s", "0")[0] == 2
+    assert run(capsys, "poles", "preset:point_C", "--w")[0] == 2
+    assert run(capsys, "spectrum", "preset:P1_R", "--json")[0] == 0
+
+
 @pytest.mark.parametrize("doc", [
     {"dim": 2 ** 53, "place": "complex",
      "weights": [{"w": 10 ** 6, "hpq": {}}]},
