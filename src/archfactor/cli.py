@@ -4,11 +4,17 @@ Inputs are JSON documents describing Hodge-numeric data, or the pseudo
 path ``preset:NAME`` for one of the built-in geometries.  Exit codes:
 0 success, 1 verification mismatch, 2 malformed input or flags, 3
 internal error (any other exception, reported on one ``error:`` line).
+
+Every command has one shape: ``_cmd_NAME(args, data)`` takes the flags
+and the loaded input (None for ``presets`` and ``regdet``) and returns
+``(doc, lines)``, its ``--json`` document and its text lines; ``verify``
+adds its exit code.  ``main`` alone loads, prints and sets the exit code.
 """
 
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import gamma
@@ -46,7 +52,8 @@ def load_input(spec: str) -> HodgeData:
             doc = json.load(fh, object_pairs_hook=json_object)
     except OSError as exc:
         raise InputError(f"cannot read {spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8 and overlong integers are ValueErrors too
         raise InputError(f"{spec}: not valid JSON: {exc}") from exc
     data = from_json_dict(doc)
     bad = validate(data)
@@ -55,153 +62,115 @@ def load_input(spec: str) -> HodgeData:
     return data
 
 
-def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _cmd_presets(args, data):
+    if args.emit:  # the document itself, with or without --json
+        doc = to_json_dict(load_input(f"preset:{args.emit}"))
+        return doc, [json.dumps(doc, indent=2, sort_keys=True)]
+    return list(PRESET_NAMES), list(PRESET_NAMES)
 
 
-def _cmd_presets(args) -> int:
-    if args.emit:
-        _emit(to_json_dict(load_input(f"preset:{args.emit}")))
-        return EXIT_OK
-    if args.json:
-        _emit(list(PRESET_NAMES))
-    else:
-        for name in PRESET_NAMES:
-            print(name)
-    return EXIT_OK
-
-
-def _cmd_factors(args) -> int:
-    data = load_input(args.input)
+def _cmd_factors(args, data):
     per_weight = {piece.w: serre_tables(piece, data.place).clean()
                   for piece in data.weights}
     product = gamma.product(x if w % 2 else gamma.GammaExpression().add(x, -1)
                             for w, x in per_weight.items())
-    if args.json:
-        _emit({"name": data.name,
-               "weights": {str(w): gamma.expression_to_json(x)
-                           for w, x in per_weight.items()},
-               "product": gamma.expression_to_json(product)})
-    else:
-        for w, x in sorted(per_weight.items()):
-            print(f"w={w}: {render(x)}")
-        print(f"completed alternating product: {render(product)}")
-    return EXIT_OK
+    return ({"name": data.name,
+             "weights": {str(w): gamma.expression_to_json(x)
+                         for w, x in per_weight.items()},
+             "product": gamma.expression_to_json(product)},
+            [*(f"w={w}: {render(x)}" for w, x in sorted(per_weight.items())),
+             f"completed alternating product: {render(product)}"])
 
 
-def _cmd_deligne(args) -> int:
-    data = load_input(args.input)
+def _cmd_deligne(args, data):
     value = deligne_dim(data, args.w, args.r)
-    if args.json:
-        _emit({"name": data.name, "w": args.w, "r": args.r, "dim": value})
-    else:
-        print(value)
-    return EXIT_OK
+    return ({"name": data.name, "w": args.w, "r": args.r, "dim": value},
+            [str(value)])
 
 
-def _cmd_poles(args) -> int:
-    data = load_input(args.input)
+def _cmd_poles(args, data):
     lo, hi = args.m_from, args.m_to
     if lo > hi:
         raise InputError(f"--from {lo} exceeds --to {hi}")
     if hi - lo >= MAX_ROWS:
         raise InputError(f"--from {lo} --to {hi}: more than {MAX_ROWS} rows")
     table = {m: pole_order(data, args.w, m) for m in range(lo, hi + 1)}
-    if args.json:
-        _emit({"name": data.name, "w": args.w,
-               "orders": {str(m): o for m, o in table.items()}})
-    else:
-        for m in range(hi, lo - 1, -1):
-            print(f"m={m}: {table[m]}")
-    return EXIT_OK
+    return ({"name": data.name, "w": args.w,
+             "orders": {str(m): o for m, o in table.items()}},
+            [f"m={m}: {table[m]}" for m in range(hi, lo - 1, -1)])
 
 
-def _cmd_spectrum(args) -> int:
-    data = load_input(args.input)
+def _cmd_spectrum(args, data):
     measure = theta_spectrum(data, args.weight)
-    doc = {}
-    for parity, label, tails in ((0, "even", measure.even),
-                                 (1, "odd", measure.odd)):
-        top = max((first for first, _, _ in tails), default=0)
-        head = {str(m): measure.multiplicity(parity, m)
-                for m in range(top, top - args.depth, -1)}
+    doc, lines = {}, []
+    for label, tails in (("even", measure.even), ("odd", measure.odd)):
+        lines.append(f"parity {label}:")
+        starts = {}
+        for first, step, mult in tails:
+            starts.setdefault(first, []).append((step, mult))
+        # a running sum per (step, m mod step): O(depth + #tails) in all
+        sums, head = {}, {}
+        top = max(starts, default=0)
+        for m in range(top, top - args.depth, -1):
+            for step, mult in starts.get(m, ()):
+                sums[step, m % step] = sums.get((step, m % step), 0) + mult
+            head[str(m)] = total = sum(
+                mult for (step, r), mult in sums.items() if m % step == r)
+            if total:
+                lines.append(f"  m={m}: {total}")
         doc[label] = {"head": head, "tails": [
             {"first": first, "step": step, "multiplicity": mult}
             for first, step, mult in tails]}
-    if args.json:
-        _emit({"name": data.name, "spectrum": doc})
-        return EXIT_OK
-    for label, part in doc.items():
-        print(f"parity {label}:")
-        for m, mult in part["head"].items():
-            if mult:
-                print(f"  m={m}: {mult}")
-        for t in part["tails"]:
-            print(f"  tail: m = {t['first']}, {t['first'] - t['step']}, ... "
-                  f"multiplicity {t['multiplicity']}")
-        if not part["tails"]:
-            print("  tail: none")
-    return EXIT_OK
+        lines += [f"  tail: m = {first}, {first - step}, ... "
+                  f"multiplicity {mult}" for first, step, mult in tails
+                  ] or ["  tail: none"]
+    return {"name": data.name, "spectrum": doc}, lines
 
 
-def _cmd_regdet(args) -> int:
+def _cmd_regdet(args, data):
     prog = Progression(args.first, args.step, args.finite, args.mult)
     expr = regdet_progression(prog)
     doc = {"progression": {"first": args.first, "step": args.step,
                            "count": args.finite, "multiplicity": args.mult},
            "determinant": gamma.expression_to_json(expr)}
+    lines = [f"determinant: {render(expr)}"]
     if args.s is not None:
         log_val, sign = evaluate_log(expr, args.s, args.guard)
         doc["at_s"] = {"s": args.s, "log_abs": log_val, "sign": sign}
+        lines.append(f"value at s={args.s}: sign {sign}, "
+                     f"log|det| = {log_val:.12g}")
         if args.finite is None and (args.s - args.first) / args.step > 0:
             x = (args.s - args.first) / args.step
             oracle = args.mult * hurwitz_zeta_deriv0(x, 2.0 * math.pi / args.step)
             doc["oracle_log"] = oracle
             doc["oracle_residual"] = log_val - oracle
-    if args.json:
-        _emit(doc)
-    else:
-        print(f"determinant: {render(expr)}")
-        if args.s is not None:
-            print(f"value at s={args.s}: sign {doc['at_s']['sign']}, "
-                  f"log|det| = {doc['at_s']['log_abs']:.12g}")
-            if "oracle_log" in doc:
-                print(f"series oracle: log det = {doc['oracle_log']:.12g}")
-    return EXIT_OK
+            lines.append(f"series oracle: log det = {oracle:.12g}")
+    return doc, lines
 
 
-def _cmd_verify(args) -> int:
-    data = load_input(args.input)
+def _cmd_verify(args, data):
     report = verify_theorem(data, samples=args.samples, guard=args.guard)
-    if args.json:
-        _emit(report.to_json_dict())
-    else:
-        print(f"input: {data.name} ({data.place.value} place, dim {data.dim})")
-        print(f"divisor match: {'yes' if report.divisor_match else 'no'}"
-              + ("" if report.mismatch_witness is None
-                 else f" (first mismatch at m={report.mismatch_witness})"))
-        weights = " ".join(f"w={w}:{'yes' if match else 'no'}"
-                           for w, match in report.per_weight)
-        print(f"per weight: {weights if weights else '(no weights)'}")
-        print(f"residue LHS/RHS: {render(report.residue)}")
-        print(f"constant log(LHS/RHS): {report.constant_log:.12g} "
-              f"(spread {report.constant_stddev:.3g})")
-        print("verdict: " + ("ok" if report.ok() else "MISMATCH"))
-    return EXIT_OK if report.ok() else EXIT_MISMATCH
+    weights = " ".join(f"w={w}:{'yes' if match else 'no'}"
+                       for w, match in report.per_weight)
+    return report.to_json_dict(), [
+        f"input: {data.name} ({data.place.value} place, dim {data.dim})",
+        f"divisor match: {'yes' if report.divisor_match else 'no'}"
+        + ("" if report.mismatch_witness is None
+           else f" (first mismatch at m={report.mismatch_witness})"),
+        f"per weight: {weights if weights else '(no weights)'}",
+        f"residue LHS/RHS: {render(report.residue)}",
+        f"constant log(LHS/RHS): {report.constant_log:.12g} "
+        f"(spread {report.constant_stddev:.3g})",
+        "verdict: " + ("ok" if report.ok() else "MISMATCH"),
+    ], EXIT_OK if report.ok() else EXIT_MISMATCH
 
 
-def _cmd_eval(args) -> int:
-    data = load_input(args.input)
+def _cmd_eval(args, data):
     expr = completed_alternating_product(data)
     log_val, sign = evaluate_log(expr, args.s, args.guard)
-    if args.json:
-        _emit({"name": data.name, "s": args.s,
-               "log_abs": log_val, "sign": sign})
-    else:
-        print(f"{render(expr)}")
-        print(f"at s={args.s}: sign {sign}, log|value| = {log_val:.12g}")
-    return EXIT_OK
+    return ({"name": data.name, "s": args.s, "log_abs": log_val, "sign": sign},
+            [render(expr), f"at s={args.s}: sign {sign}, "
+                           f"log|value| = {log_val:.12g}"])
 
 
 def _checked(kind, accept, expected: str):
@@ -225,6 +194,8 @@ _integer = _checked(int, lambda n: abs(n) <= 2 ** 53,
                     "an integer with |n| <= 2^53")
 _row_count = _checked(int, lambda n: 0 <= n <= MAX_ROWS,
                       f"an integer from 0 to {MAX_ROWS}")
+# argparse's own negative-number test takes "-1e3" for an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, fn, help, *shared):
         p = sub.add_parser(name, help=help, parents=[json_flag, *shared])
         p.set_defaults(fn=fn)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         return p
 
     p = command("presets", _cmd_presets, "list built-in geometries")
@@ -302,7 +274,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        data = load_input(args.input) if "input" in args else None
+        doc, lines, *code = args.fn(args, data)
+        print(json.dumps(doc, indent=2, sort_keys=True) if args.json
+              else "\n".join(lines))
+        return code[0] if code else EXIT_OK
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

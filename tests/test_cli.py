@@ -13,8 +13,8 @@ import archfactor.factors as factors_module
 import archfactor.hodge as hodge_module
 import archfactor.verify as verify_module
 from archfactor import (PRESET_NAMES, Place, SpectralMeasure,
-                        completed_alternating_product, preset, to_json_dict,
-                        verify_theorem)
+                        completed_alternating_product, preset, theta_spectrum,
+                        to_json_dict, verify_theorem)
 from archfactor.cli import main
 from archfactor.gamma import expression_to_json
 from helpers import full_diamond
@@ -150,6 +150,28 @@ def test_spectrum_listing_is_pinned(capsys, name, heads, tails, constants):
         measure, far = SpectralMeasure(listed, ()), -10 ** 6
         assert {0: measure.multiplicity(0, far),
                 1: measure.multiplicity(0, far - 1)} == constants[label]
+
+
+@pytest.mark.parametrize("place", list(Place))
+def test_spectrum_head_is_linear_in_rows_plus_tails(tmp_path, capsys, place):
+    # the d = 80 diamond with every h^{p,q} = 7 has thousands of tails; a
+    # head read row by row through SpectralMeasure.multiplicity took
+    # seconds at 10,000 rows
+    data = full_diamond(place, 7, 80)
+    path = tmp_path / "d80.json"
+    path.write_text(json.dumps(to_json_dict(data)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "spectrum", str(path), "--json",
+                       "--depth", "10000")
+    assert time.perf_counter() - start < 1.5
+    assert code == 0
+    doc, measure = json.loads(out)["spectrum"], theta_spectrum(data)
+    for parity, label in enumerate(("even", "odd")):
+        rows = list(doc[label]["head"].items())
+        assert len(rows) == 10000
+        # every row where tails start, then a sample of the rest
+        for m, mult in rows[:200] + rows[200::97]:
+            assert mult == measure.multiplicity(parity, int(m)), (label, m)
 
 
 def test_regdet_command(capsys):
@@ -435,6 +457,21 @@ def test_unparsable_flag_exit_two(capsys, argv, expected):
     assert argv[-1] in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv, exponent, plain", [
+    (["eval", "preset:P1_C", "--s", "X", "--json"], "-2.5e0", "-2.5"),
+    (["verify", "preset:P1_R", "--samples", "X", "2.5", "--json"],
+     "-1.55e1", "-15.5"),
+    (["regdet", "--first", "0", "--s", "X"], "-2.5e0", "-2.5"),
+], ids=["eval", "verify", "regdet"])
+def test_negative_exponent_notation_is_a_number(capsys, argv, exponent,
+                                                plain):
+    # argparse's own test would read "-2.5e0" as an option and exit 2
+    # with "expected one argument"
+    given = run(capsys, *(exponent if a == "X" else a for a in argv))
+    assert given == run(capsys, *(plain if a == "X" else a for a in argv))
+    assert given[0] == 0 and given[1]
+
+
 def test_duplicate_weight_exit_two(tmp_path, capsys):
     piece = {"w": 1, "hpq": {"1,0": 1, "0,1": 1}}
     path = tmp_path / "twice.json"
@@ -567,6 +604,21 @@ def test_verify_malformed_document_exit_two(tmp_path, capsys, text, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 100_000 + b"]" * 100_000,
+    '{"dim": 1, "name": "caf\u00e9"}'.encode("latin-1"),
+    b'{"dim": ' + b"7" * 5000 + b"}",
+], ids=["deep_nesting", "latin_1", "long_integer"])
+def test_undecodable_file_exit_two_naming_it(tmp_path, capsys, content):
+    # a RecursionError read as exit 3; the other two named no file
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {path}: not valid JSON: ")
+
+
 def test_valid_entries_are_checked_once_per_piece(tmp_path, monkeypatch,
                                                   capsys):
     # validate runs twice per verify, but its per-entry loop only for a
@@ -669,3 +721,15 @@ def test_import_pulls_in_no_dataclasses_or_typing():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == []
+
+
+def test_module_run_prints_what_main_prints(capsys):
+    # main is the one writer, and python -m archfactor.cli is how users
+    # run it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for flags in ([], ["--json"]):
+        argv = ["verify", "preset:P1_R", *flags]
+        code, out, _ = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "archfactor.cli", *argv],
+                              env=env, capture_output=True, check=False)
+        assert (proc.returncode, proc.stdout) == (code, out.encode()), argv

@@ -61,6 +61,11 @@ def test_cyclic_dims_projective_line():
     assert hp_dim(p1, 2, 2) == betti(p1, 2)
 
 
+def test_hp_dim_vanishes_at_negative_weight():
+    # (n, j) = (3, 1) has weight 2j - n = -1
+    assert hp_dim(preset("P1_R"), 3, 1) == 0
+
+
 def test_cyclic_dims_real_place_are_not_doubled():
     # p <= 1 picks up both h^{0,1} and h^{1,0} in weight 1
     e = preset("elliptic_R")

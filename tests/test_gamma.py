@@ -82,6 +82,12 @@ def test_nearest_divisor_point_matches_scan():
         assert nearest_divisor_point(normalize(x)) == expect, x
 
 
+def test_nearest_divisor_point_none_when_the_factors_cancel():
+    # GR(s)/GR(s+2) = 2 pi / s, so times s it has no zero or pole left
+    x = GammaExpression(gr={0: 1, 2: -1}, lin={0: 1})
+    assert nearest_divisor_point(x) is None
+
+
 def test_order_at_matches_linear_factors():
     x = GammaExpression(gc={0: -1}, lin={2: 3})
     assert order_at(x, 2) == 3

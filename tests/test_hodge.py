@@ -78,6 +78,16 @@ def test_betti_eigen_complex_place_rejected():
         betti_eigen(preset("point_C"), 0, 1)
 
 
+def test_betti_eigen_rejects_a_sign_other_than_one():
+    with pytest.raises(ValueError, match="sign must be"):
+        betti_eigen(preset("P1_R"), 0, 0)
+
+
+def test_eigen_needs_the_middle_split():
+    with pytest.raises(ValueError, match="without middle_split"):
+        WeightPiece(2, {(1, 1): 1}).eigen(1)
+
+
 def test_betti_eigen_sums_to_betti():
     rng = random.Random(31)
     for _ in range(50):
