@@ -19,8 +19,8 @@ from .gamma import (GammaExpression, SINGULARITY_GUARD,
                     SingularEvaluationError, evaluate_log, loggamma_signed,
                     nearest_divisor_point, normalize, order_at, product,
                     render)
-from .hodge import (HodgeData, PRESET_NAMES, Place, WeightPiece, betti,
-                    betti_eigen, direct_sum, from_json_dict, preset,
+from .hodge import (HodgeData, InputError, PRESET_NAMES, Place, WeightPiece,
+                    betti, betti_eigen, direct_sum, from_json_dict, preset,
                     to_json_dict, validate)
 from .regdet import hurwitz_zeta_deriv0, regdet_progression
 from .verify import SamplePoint, VerificationReport, verify_theorem

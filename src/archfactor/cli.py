@@ -2,8 +2,9 @@
 
 Inputs are JSON documents describing Hodge-numeric data, or the pseudo
 path ``preset:NAME`` for one of the built-in geometries.  Exit codes:
-0 success, 1 verification mismatch, 2 malformed input or flags, 3
-internal error (any other exception, reported on one ``error:`` line).
+0 success, 1 verification mismatch, 2 bad flags or an ``InputError``
+(input the package refuses), 3 internal error (any other exception, a
+``ValueError`` from a bug included, reported on one ``error:`` line).
 
 Every command has one shape: ``_cmd_NAME(args, data)`` takes the flags
 and the loaded input (None for ``presets`` and ``regdet``) and returns
@@ -22,8 +23,8 @@ from .cyclic import Progression, theta_spectrum
 from .deligne import deligne_dim, pole_order
 from .factors import completed_alternating_product, serre_tables
 from .gamma import SINGULARITY_GUARD, evaluate_log, render
-from .hodge import (HodgeData, PRESET_NAMES, from_json_dict, json_object,
-                    preset, to_json_dict, validate)
+from .hodge import (HodgeData, InputError, PRESET_NAMES, from_json_dict,
+                    json_object, preset, to_json_dict, validate)
 from .regdet import hurwitz_zeta_deriv0, regdet_progression
 from .verify import verify_theorem
 
@@ -36,17 +37,10 @@ EXIT_INTERNAL = 3
 MAX_ROWS = 100_000
 
 
-class InputError(Exception):
-    pass
-
-
 def load_input(spec: str) -> HodgeData:
     """Either ``preset:NAME`` or a path to a JSON document."""
     if spec.startswith("preset:"):
-        try:
-            return preset(spec[len("preset:"):])
-        except KeyError as exc:
-            raise InputError(exc.args[0]) from exc
+        return preset(spec[len("preset:"):])
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=json_object)
@@ -279,7 +273,7 @@ def main(argv=None) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True) if args.json
               else "\n".join(lines))
         return code[0] if code else EXIT_OK
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:

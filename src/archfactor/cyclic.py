@@ -33,7 +33,7 @@ parity block per cohomological weight parity.
 """
 
 from .deligne import deligne_dim
-from .hodge import HodgeData, Place, betti, betti_eigen
+from .hodge import HodgeData, InputError, Place, betti, betti_eigen
 
 
 # ---------------------------------------------------------------------------
@@ -53,14 +53,14 @@ def is_pole_pair(q: int, m: int, d: int) -> bool:
 def e_to_a(n: int, j: int, d: int) -> tuple:
     """(n, j) in E_d  ->  (weight, eigenvalue) = (2j - n, j - n) in A_d."""
     if not is_cyclic_pair(n, j, d):
-        raise ValueError(f"(n={n}, j={j}) not in E_{d}")
+        raise InputError(f"(n={n}, j={j}) not in E_{d}")
     return 2 * j - n, j - n
 
 
 def a_to_e(q: int, m: int, d: int) -> tuple:
     """(weight, eigenvalue) in A_d  ->  (q - 2m, q - m) in E_d."""
     if not is_pole_pair(q, m, d):
-        raise ValueError(f"(q={q}, m={m}) not in A_{d}")
+        raise InputError(f"(q={q}, m={m}) not in A_{d}")
     return q - 2 * m, q - m
 
 
@@ -149,11 +149,11 @@ class Progression:
     def __init__(self, first: int, step: int, count: int | None,
                  multiplicity: int):
         if step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
+            raise InputError(f"step must be >= 1, got {step}")
         if count is not None and count < 0:
-            raise ValueError(f"count must be >= 0 or None, got {count}")
+            raise InputError(f"count must be >= 0 or None, got {count}")
         if multiplicity < 0:
-            raise ValueError(f"negative multiplicity {multiplicity}")
+            raise InputError(f"negative multiplicity {multiplicity}")
         self.first = first
         self.step = step
         self.count = count

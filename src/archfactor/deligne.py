@@ -17,17 +17,17 @@ completed product that never touches GR/GC factor bookkeeping, which is
 exactly what makes it useful as a cross-check.
 """
 
-from .hodge import HodgeData, Place
+from .hodge import HodgeData, InputError, Place
 
 
-class OutOfRegimeError(ValueError):
+class OutOfRegimeError(InputError):
     """The dimension formula was asked for outside w + 1 < 2r."""
 
 
 def deligne_dim(data: HodgeData, w: int, r: int) -> int:
     """Real dimension of the weight-w twist-r cohomology group above."""
     if not 0 <= w <= 2 * data.dim:
-        raise ValueError(f"weight {w} outside [0, {2*data.dim}]")
+        raise InputError(f"weight {w} outside [0, {2*data.dim}]")
     if w + 1 >= 2 * r:
         raise OutOfRegimeError(
             f"dimension formula needs w+1 < 2r, got w={w}, r={r}")
@@ -44,7 +44,7 @@ def pole_order(data: HodgeData, w: int, m: int) -> int:
     the valid regime and the dimension formula applies verbatim.
     """
     if not 0 <= w <= 2 * data.dim:
-        raise ValueError(f"weight {w} outside [0, {2*data.dim}]")
+        raise InputError(f"weight {w} outside [0, {2*data.dim}]")
     if m > w // 2:
         return 0
     return deligne_dim(data, w, w + 1 - m)

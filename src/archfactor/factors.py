@@ -18,7 +18,7 @@ exponent (-1)^(w+1), so even weights contribute inverted factors.
 """
 
 from .gamma import GammaExpression, product
-from .hodge import HodgeData, Place, WeightPiece
+from .hodge import HodgeData, InputError, Place, WeightPiece
 
 
 def serre_tables(piece: WeightPiece, place: Place,
@@ -38,7 +38,7 @@ def serre_tables(piece: WeightPiece, place: Place,
         mid = piece.middle()
         if mid:
             if piece.middle_split is None:
-                raise ValueError(
+                raise InputError(
                     f"weight {piece.w}: real place requires middle_split "
                     f"for nonzero middle Hodge number")
             h_plus, h_minus = piece.middle_split

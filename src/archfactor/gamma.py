@@ -36,6 +36,8 @@ exponents never overflow.
 
 import math
 
+from .hodge import InputError
+
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
 LN2PI = math.log(2.0 * math.pi)
@@ -45,11 +47,11 @@ LN2PI = math.log(2.0 * math.pi)
 SINGULARITY_GUARD = 1e-9
 
 
-class SingularEvaluationError(ValueError):
+class SingularEvaluationError(InputError):
     """Numeric evaluation was requested on or too close to a zero/pole."""
 
 
-class EvaluationRangeError(ValueError):
+class EvaluationRangeError(InputError):
     """A log value at a finite point does not fit in a float."""
 
 

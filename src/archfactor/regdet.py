@@ -26,6 +26,7 @@ import math
 
 from .cyclic import Progression
 from .gamma import GammaExpression
+from .hodge import InputError
 
 # Euler-Maclaurin configuration: explicit terms, then B_2 .. B_12
 # correction terms on the remainder.
@@ -45,7 +46,7 @@ def add_tail_determinants(out: GammaExpression, step: int, tails,
     """Multiply the k-th power of the block determinant of each infinite
     tail (first, multiplicity) of one step into ``out``, in closed form."""
     if step not in (1, 2):
-        raise ValueError(
+        raise InputError(
             f"no closed form for infinite step-{step} progressions")
     table, total = (out.gc if step == 1 else out.gr), 0
     for first, mu in tails:
@@ -79,9 +80,9 @@ def hurwitz_zeta_deriv0(x: float, two_pi_over_delta: float) -> float:
     B_12.  Requires x > 0 and c > 0.
     """
     if x <= 0:
-        raise ValueError(f"need x > 0, got {x}")
+        raise InputError(f"need x > 0, got {x}")
     if two_pi_over_delta <= 0:
-        raise ValueError(f"need c > 0, got {two_pi_over_delta}")
+        raise InputError(f"need c > 0, got {two_pi_over_delta}")
     n = _EM_TERMS
     a = x + n
     log_a = math.log(a)

@@ -24,7 +24,7 @@ from .factors import serre_tables
 from .gamma import (LN2, SINGULARITY_GUARD, EvaluationRangeError,
                     GammaExpression, evaluate_log, nearest_divisor_point,
                     normalize, render)
-from .hodge import HodgeData, Place, validate
+from .hodge import HodgeData, InputError, Place, validate
 from .regdet import add_tail_determinants
 
 
@@ -99,14 +99,14 @@ def verify_theorem(data: HodgeData, samples=None,
     read once, into the LHS or the RHS and into the weight's balance.
     """
     if bad := validate(data):
-        raise ValueError("invalid data: " + "; ".join(bad))
+        raise InputError("invalid data: " + "; ".join(bad))
 
     if samples is None:
         samples = tuple(data.dim + off for off in (0.7, 1.6, 2.5, 3.4))
     else:
         samples = tuple(float(s) for s in samples)
         if not samples:
-            raise ValueError("need at least one sample point")
+            raise InputError("need at least one sample point")
 
     lhs, rhs, quotient = (GammaExpression() for _ in range(3))
     per_weight = []

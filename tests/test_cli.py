@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -12,11 +13,12 @@ import archfactor.cli as cli_module
 import archfactor.factors as factors_module
 import archfactor.hodge as hodge_module
 import archfactor.verify as verify_module
-from archfactor import (PRESET_NAMES, Place, SpectralMeasure,
+from archfactor import (InputError, OutOfRegimeError, PRESET_NAMES, Place,
+                        SingularEvaluationError, SpectralMeasure,
                         completed_alternating_product, preset, theta_spectrum,
                         to_json_dict, verify_theorem)
 from archfactor.cli import main
-from archfactor.gamma import expression_to_json
+from archfactor.gamma import EvaluationRangeError, expression_to_json
 from helpers import full_diamond
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -362,9 +364,10 @@ def test_sign_bug_exits_three(monkeypatch, capsys):
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):
-    # a KeyError from a bug is not bad input either
+    # a KeyError or ValueError from a bug is not bad input either
     for exc, line in ((RuntimeError("boom"), "RuntimeError: boom"),
-                      (KeyError("boom"), "KeyError: 'boom'")):
+                      (KeyError("boom"), "KeyError: 'boom'"),
+                      (ValueError("boom"), "ValueError: boom")):
         def broken(*args, **kwargs):
             raise exc
 
@@ -372,6 +375,23 @@ def test_internal_error_exits_three(monkeypatch, capsys):
         code, out, err = run(capsys, "verify", "preset:P1_R")
         assert code == 3 and out == ""
         assert err.splitlines() == [f"error: internal error: {line}"]
+
+
+def test_every_refusal_is_an_input_error():
+    # exit 2 means InputError alone, so a deliberate refusal raised as a
+    # plain ValueError or KeyError would be reported as a bug
+    for path in sorted((SRC / "archfactor").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = (node.exc.func if isinstance(node.exc, ast.Call)
+                       else node.exc)
+                assert not (isinstance(exc, ast.Name) and exc.id in
+                            ("ValueError", "KeyError")), \
+                    f"{path.name}:{node.lineno}"
+    for error in (OutOfRegimeError, SingularEvaluationError,
+                  EvaluationRangeError):
+        assert issubclass(error, InputError)
 
 
 def test_json_prefactor_keeps_four_keys(capsys):
@@ -621,8 +641,8 @@ def test_undecodable_file_exit_two_naming_it(tmp_path, capsys, content):
 
 def test_valid_entries_are_checked_once_per_piece(tmp_path, monkeypatch,
                                                   capsys):
-    # validate runs twice per verify, but its per-entry loop only for a
-    # piece whose constructor saw a bad entry
+    # validate runs twice per verify; it reads the entry faults each
+    # constructor recorded and never loops over a piece's entries itself
     validate = hodge_module.validate
     validations, entry_loops = [], []
 
@@ -632,9 +652,9 @@ def test_valid_entries_are_checked_once_per_piece(tmp_path, monkeypatch,
                 entry_loops.append(self)
             return super().items()
 
-    def counted_validate(data, *args):
+    def counted_validate(data):
         validations.append(data)
-        return validate(data, *args)
+        return validate(data)
 
     exact_load = cli_module.from_json_dict
 
@@ -642,8 +662,6 @@ def test_valid_entries_are_checked_once_per_piece(tmp_path, monkeypatch,
         data = exact_load(doc)
         for piece in data.weights:
             piece.hpq = Entries(piece.hpq)
-            if forced:
-                piece._regular = False
         return data
 
     monkeypatch.setattr(cli_module, "from_json_dict", load)
@@ -652,13 +670,10 @@ def test_valid_entries_are_checked_once_per_piece(tmp_path, monkeypatch,
     data = full_diamond(Place.REAL, 7, 12)
     path = tmp_path / "diamond.json"
     path.write_text(json.dumps(to_json_dict(data)))
-    for forced in (False, True):  # forced: every piece loops, as before
-        validations.clear()
-        entry_loops.clear()
-        code, out, err = run(capsys, "verify", str(path))
-        assert code == 0 and err == "" and "verdict: ok" in out
-        assert len(validations) == 2
-        assert len(entry_loops) == (2 * len(data.weights) if forced else 0)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0 and err == "" and "verdict: ok" in out
+    assert len(validations) == 2
+    assert entry_loops == []
 
 
 def _json_spots(doc, path=()):

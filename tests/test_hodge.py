@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from archfactor import (HodgeData, PRESET_NAMES, Place, WeightPiece, betti,
-                        betti_eigen, direct_sum, from_json_dict, preset,
-                        to_json_dict, validate)
+from archfactor import (HodgeData, InputError, PRESET_NAMES, Place,
+                        WeightPiece, betti, betti_eigen, direct_sum,
+                        from_json_dict, preset, to_json_dict, validate)
 from helpers import random_hodge_data
 
 
@@ -16,8 +16,10 @@ def test_preset_catalogue():
         data = preset(name)
         assert data.name == name
         assert validate(data) == []
-        assert validate(data, check_poincare=True) == []
-    with pytest.raises(KeyError):
+        # every preset is a whole variety, so Poincare duality holds
+        assert all(betti(data, w) == betti(data, 2 * data.dim - w)
+                   for w in range(data.dim + 1))
+    with pytest.raises(InputError, match="choices"):
         preset("nope")
 
 
@@ -132,11 +134,11 @@ def test_validate_split_on_odd_weight():
     assert any("odd weight" in v for v in validate(data))
 
 
-def test_validate_poincare_lint_is_opt_in():
-    # a sub-motive: weight 0 only, no duality partner in weight 2
+def test_validate_accepts_a_sub_motive():
+    # weight 0 only, no duality partner in weight 2: sub-motives of a
+    # variety need not satisfy Poincare duality, and validate does not ask
     data = HodgeData("sub", 1, Place.COMPLEX, (WeightPiece(0, {(0, 0): 1}),))
     assert validate(data) == []
-    assert any("poincare" in v for v in validate(data, check_poincare=True))
 
 
 def test_direct_sum_adds_tables_and_splits():
@@ -249,24 +251,34 @@ def _seeded_piece(rng, w):
     return WeightPiece(w, hpq, (mid, 0) if mid > 0 else None)
 
 
-def test_regular_flag_matches_the_entry_loop():
-    # validate skips the per-entry loop of a piece flagged regular, so it
-    # must list exactly what it lists with the loop forced to run
+def _entry_loop(piece: WeightPiece) -> list:
+    """The per-entry loop validate ran before the constructor recorded
+    ``faults``: the reference those faults must reproduce."""
+    tag, bad = f"weights[w={piece.w}]", []
+    for (p, q), h in piece.hpq.items():
+        if p < 0 or q < 0 or p + q != piece.w:
+            bad.append(f"{tag}.hpq[{p},{q}]: indices do not match weight")
+        if h < 0:
+            bad.append(f"{tag}.hpq[{p},{q}]: negative count {h}")
+        if piece.hpq.get((q, p), 0) != h:
+            bad.append(f"{tag}.hpq[{p},{q}]={h}: breaks Hodge symmetry "
+                       f"with h[{q},{p}]={piece.hpq.get((q, p), 0)}")
+    return bad
+
+
+def test_entry_faults_match_the_entry_loop():
+    # validate reports the entry faults each constructor recorded; they
+    # must be exactly, and in the same order, what the entry loop lists
     rng = random.Random(1010)
     regular = broken = 0
     for _ in range(600):
         pieces = [_seeded_piece(rng, w) for w in rng.sample(range(7), 3)]
         for place in Place:
             data = HodgeData("seeded", 3, place, tuple(pieces))
-            flagged = validate(data)
-            flags = [piece._regular for piece in pieces]
+            reported = [m for m in validate(data) if ".hpq[" in m]
+            expected = [m for piece in data.weights for m in _entry_loop(piece)]
+            assert reported == expected, data.weights
             for piece in pieces:
-                piece._regular = False
-            assert flagged == validate(data), (data.weights, flagged)
-            for piece, flag in zip(pieces, flags):
-                tag = f"weights[w={piece.w}].hpq["
-                assert flag == (not any(m.startswith(tag) for m in flagged))
-                piece._regular = flag
-                regular += flag
-                broken += not flag
+                regular += not piece.faults
+                broken += bool(piece.faults)
     assert regular > 1000 and broken > 1000
