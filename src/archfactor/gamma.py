@@ -22,7 +22,9 @@ constant 1, and the duplication formula picks up a 2:
 
 A step-2 progression gives 2^(mu/2) * GR(s - m0)^(-mu), so a whole
 number of halves is the only prefactor a determinant or a normal form
-ever carries.
+ever carries.  With that and GR(z+2) = (z/2pi) GR(z), every expression
+is 2^(h/2) times GRs alone, at most two for each of its factors: the
+normal form.
 
 Products are built in place, one dict update per term
 (:meth:`GammaExpression.add`), and cleaned once at the end
@@ -152,36 +154,26 @@ def nearest_divisor_point(x: GammaExpression):
 
 
 def normalize(x: GammaExpression) -> GammaExpression:
-    """The canonical form GR(s)^u * GR(s+1)^v * linear factors * 2^(h/2)
-    of x, as a new, clean expression.
+    """The canonical form 2^(h/2) * prod_a GR(s+a)^(e_a) of x, as a new,
+    clean expression: no GC, no linear factor, no zero exponent.
 
-    Duplication, GC(z) = 2^(-1) GR(z) GR(z+1), removes every GC; the
-    step-2 shift, GR(z+2) = (z/2pi) GR(z), moves GR(s+a) to
-    GR(s + a mod 2), booking one linear factor per step.  Two expressions
-    have the same value exactly when their normal forms are equal: far
-    to the left the pole orders fix u and v, the rational part fixes the
-    linear factors, and what is left, 2^(h/2), fixes h.
+    Duplication writes GC(z) as 2^(-1) GR(z) GR(z+1), and the step-2
+    shift GR(z+2) = (z/2pi) GR(z) writes a linear factor (s-m)/2pi as
+    GR(s-m+2) / GR(s-m), so the form has at most two factors per factor
+    of x, whatever the shifts.  Two expressions have the same value
+    exactly when their normal forms are equal: along each residue class
+    mod 2 the pole orders are the partial sums of the e_a, so the
+    divisor fixes every e_a, and what is left, 2^(h/2), fixes h.
     """
-    if not (x.gr or x.gc or x.lin):  # a bare power of 2
-        return GammaExpression(halves=x.halves).clean()
-    shifts = dict(x.gr)
+    gr = dict(x.gr)
     for a, e in x.gc.items():
-        shifts[a] = shifts.get(a, 0) + e
-        shifts[a + 1] = shifts.get(a + 1, 0) + e
-    gr: dict = {}
-    lin = dict(x.lin)
-    for r in (0, 1):
-        group = {a: e for a, e in shifts.items() if e and a % 2 == r}
-        gr[r] = total = sum(group.values())
-        # GR(s+a) = GR(s+r) * prod_b ((s+b)/2pi)^(+1 if r <= b < a, -1 if
-        # a <= b < r), b = r mod 2; summed: [b >= r] total - sum_{a <= b}
-        below = 0
-        for b in range(min((r, *group)), max((r, *group)), 2):
-            below += group.get(b, 0)
-            if e := (total if b >= r else 0) - below:
-                lin[-b] = lin.get(-b, 0) + e
-    return GammaExpression(gr, {}, lin,
-                           x.halves - 2 * sum(x.gc.values())).clean()
+        gr[a] = gr.get(a, 0) + e
+        gr[a + 1] = gr.get(a + 1, 0) + e
+    for m, e in x.lin.items():
+        gr[2 - m] = gr.get(2 - m, 0) + e
+        gr[-m] = gr.get(-m, 0) - e
+    return GammaExpression(gr,
+                           halves=x.halves - 2 * sum(x.gc.values())).clean()
 
 
 def loggamma_signed(z: float):

@@ -9,11 +9,13 @@ tail of multiplicity mu gives GC(s - m0)^(-mu), a step-2 tail
 factors are GCs, which cancel to 1.  Over R, L_w has h = h^{w/2,w/2} GRs
 and P = sum_{p<q} h^{p,q} GCs; in GRs the sides cancel only if the tails'
 multiplicities sum to 2P + h, leaving 2^(k((2P + h)/2 - P)) = 2^(-h/2), as
-h = 0 for odd w.  The residue LHS / RHS is the normal form of the product
-of the weights' quotients; as the normal form is linear in the exponents,
-a matching weight (normal form 2^(-h/2)) adds only -h/2 to its exponent
-of 2.  It names its zero or pole nearest 0; samples of log(LHS/RHS) check
-the constant and signs in floats, with an exact spread (:func:`spread`).
+h = 0 for odd w.  So a weight matches exactly when the normal form of
+LHS_w / RHS_w, GRs alone and a power of 2, computed inline, is 2^(-h/2).
+The residue LHS / RHS is the normal form of the product of the weights'
+quotients; the normal form is linear in the exponents, so a matching
+weight adds only -h/2 to the exponent of 2.  It names its zero or pole
+nearest 0; samples of log(LHS/RHS) check the constant and signs in
+floats, with an exact spread (:func:`spread`).
 """
 
 import math
@@ -115,8 +117,9 @@ def verify_theorem(data: HodgeData, samples=None,
         x = serre_tables(piece, data.place, k)
         y = add_tail_determinants(GammaExpression(),
                                   *weight_tails(data, piece.w), -k)
-        # x / y in GR shifts (each GC as two), linear exponents and halves
-        shifts, lin, halves = {}, {}, 0
+        # x / y in normal form, computed inline: GR shifts (each GC as
+        # two, each linear factor as a quotient of two) and halves
+        shifts, halves = {}, 0
         for total, t, sign in ((lhs, x, 1), (rhs, y, -1)):
             for a, e in t.gr.items():
                 total.gr[a] = total.gr.get(a, 0) + e
@@ -127,12 +130,12 @@ def verify_theorem(data: HodgeData, samples=None,
                 shifts[a + 1] = shifts.get(a + 1, 0) + sign * e
             for m, e in t.lin.items():
                 total.lin[m] = total.lin.get(m, 0) + e
-                lin[m] = lin.get(m, 0) + sign * e
+                shifts[2 - m] = shifts.get(2 - m, 0) + sign * e
+                shifts[-m] = shifts.get(-m, 0) - sign * e
             total.halves += t.halves
             halves += sign * (t.halves - 2 * sum(t.gc.values()))
         h = piece.middle() if data.place is Place.REAL else 0
-        match = (halves == -h and not any(shifts.values())
-                 and not any(lin.values()))
+        match = halves == -h and not any(shifts.values())
         per_weight.append((piece.w, match))
         if match:
             quotient.halves -= h
@@ -158,7 +161,7 @@ def verify_theorem(data: HodgeData, samples=None,
         per_weight=tuple(per_weight),
         residue=residue,
         constant_stddev=spread(diffs),  # first: it rejects a non-finite diff
-        constant_log=(math.fsum(diffs) / len(diffs) if residue.gr or residue.lin
+        constant_log=(math.fsum(diffs) / len(diffs) if residue.gr
                       else residue.halves / 2 * LN2),
         samples=tuple(points),
     )

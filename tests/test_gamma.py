@@ -257,6 +257,23 @@ def test_normalize_is_idempotent():
     for _ in range(40):
         n = normalize(random_expression(rng, size=4))
         assert normalize(n) == n
+        assert not n.gc and not n.lin
+
+
+def test_normalize_size_follows_the_factors_not_the_shifts():
+    # each factor keeps its own shift: moving GR(s - 10^6) to GR(s)
+    # would book 500,000 linear factors
+    x = GammaExpression(gr={-10 ** 6: 1, 0: -1})
+    n = normalize(x)
+    assert n.gr == {-10 ** 6: 1, 0: -1} and not n.gc and not n.lin
+    # GC(s - 10^6) (s - 10^6)/2pi = GC(s - 10^6 + 1)
+    y = GammaExpression(gc={-10 ** 6: 1}, lin={10 ** 6: 1})
+    assert normalize(y) == GammaExpression(
+        gr={1 - 10 ** 6: 1, 2 - 10 ** 6: 1}, halves=-2)
+    for z in (x, y):
+        for s in (0.5, 10 ** 6 + 0.5, 10 ** 6 + 3.7):
+            tol = 1e-13 * (1 + abs(evaluate_log(z, s)[0]))
+            assert logs_agree(z, normalize(z), s, tol), (z, s)
 
 
 def _value_preserving_rewrite(rng, x):

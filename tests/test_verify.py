@@ -78,18 +78,28 @@ def test_huge_hodge_numbers_verify():
 
 def test_wrong_multiplicity_fails_its_weight(monkeypatch):
     exact = verify_module.weight_tails
+    skew = {"first": 0, "mult": 1}
 
     def skewed(data, w):
         step, tails = exact(data, w)
         if w != 1:
             return step, tails
         (first, mult), *rest = tails
-        return step, [(first, mult + 1), *rest]
+        return step, [(first + skew["first"], mult + skew["mult"]), *rest]
 
     monkeypatch.setattr(verify_module, "weight_tails", skewed)
     report = verify_theorem(preset("elliptic_R"))
     assert report.ok() is False
     assert dict(report.per_weight) == {0: True, 1: False, 2: True}
+    # weight 1's first tail moved from m = 0 to m = -1: the residue is
+    # printed in GRs alone, never as a linear factor
+    skew.update(first=-1, mult=0)
+    for name, residue in (("elliptic_C", "GR(s+0)^2 * GR(s+2)^-2"),
+                          ("elliptic_R", "2^(-1) * GR(s+0)^1 * GR(s+1)^-1")):
+        report = verify_theorem(preset(name))
+        assert report.to_json_dict()["residue"] == residue, name
+        assert report.mismatch_witness == 0, name
+        assert report.per_weight == ((0, True), (1, False), (2, True)), name
 
 
 @pytest.mark.parametrize("name, a2, allowed", [
