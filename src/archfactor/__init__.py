@@ -10,9 +10,8 @@ even and odd parts of a graded cyclic homology theory.
 """
 
 from .cyclic import (Progression, SpectralMeasure, a_to_e, e_to_a,
-                     har_dim, har_dim_from_sequence, hc_dim, hc_dim_complex,
-                     hn_dim, hp_dim, is_cyclic_pair, is_pole_pair,
-                     theta_spectrum)
+                     har_dim, hc_dim, hc_dim_complex, hn_dim, hp_dim,
+                     is_cyclic_pair, is_pole_pair, theta_spectrum)
 from .deligne import OutOfRegimeError, deligne_dim, pole_order
 from .factors import completed_alternating_product, serre_factor
 from .gamma import (GammaExpression, SINGULARITY_GUARD,

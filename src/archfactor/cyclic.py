@@ -8,8 +8,8 @@ combinatorics in w = 2j - n:
     hc (cyclic)            sum_{p <= j, p+q=w} h^{p,q}
     hn (negative cyclic)   sum_{p >= j, p+q=w} h^{p,q}
     hp (periodic)          b_w
-    har (archimedean)      the pole-order dimension at weight w,
-                           twist r = j + 1
+    har (archimedean)      the cokernel of the rational lattice in
+                           the lambda-graded exact sequence
 
 hc/hn/hp are complex dimensions of the theory over C; ``hc_dim`` also
 reports the real dimension of the natural coefficient field (twice the
@@ -22,7 +22,10 @@ which is carried bijectively onto the pole bookkeeping set
 
     A_d = {(q, m) : 0 <= q <= 2d, m <= q/2}
 
-by (n, j) -> (2j - n, j - n).
+by (n, j) -> (2j - n, j - n).  ``e_to_a``, ``a_to_e``, ``hc_dim``,
+``hn_dim``, ``hp_dim`` and :mod:`archfactor.hodge`'s ``betti_eigen`` and
+``direct_sum`` have no caller in the package: they are the paper's
+quantities that acceptance criteria 5, 6 and 8 bind.
 
 The scaling generator acts on the graded archimedean theory with
 integer eigenvalues.  Each weight's multiplicities are encoded as
@@ -32,8 +35,7 @@ tails of all weights, or of one, into a :class:`SpectralMeasure`, one
 parity block per cohomological weight parity.
 """
 
-from .deligne import deligne_dim
-from .hodge import HodgeData, InputError, Place, betti, betti_eigen
+from .hodge import HodgeData, InputError, Place, betti
 
 
 # ---------------------------------------------------------------------------
@@ -104,33 +106,16 @@ def hn_dim(data: HodgeData, n: int, j: int) -> int:
 
 
 def har_dim(data: HodgeData, n: int, j: int) -> int:
-    """Real dimension of the archimedean cyclic homology group.
-
-    Supported exactly on E_d; outside it the group vanishes and 0 is
-    returned.  On E_d the value is the pole-order dimension at weight
-    w = 2j - n and twist r = j + 1, which is automatically inside the
-    valid regime since n >= 0.
-    """
+    """Real dimension of archimedean cyclic homology, the cokernel of
+    the rational lattice in the exact sequence: 0 off E_d, and on it,
+    with w = 2j - n, 2 * hc_dim_complex - b_w at a complex place and
+    hc_dim minus the (-1)^(j+1) eigenspace on b_w at a real one."""
     if not is_cyclic_pair(n, j, data.dim):
         return 0
-    return deligne_dim(data, 2 * j - n, j + 1)
-
-
-def har_dim_from_sequence(data: HodgeData, n: int, j: int) -> int:
-    """The same count obtained from the defining exact sequence instead
-    of the dimension formula: the cokernel of the rational lattice map
-    into cyclic homology.
-
-    complex place:  2 * hc_dim_complex - b_w
-    real place:     hc_dim - dim of the (-1)^(j+1) eigenspace on b_w
-    """
-    if not is_cyclic_pair(n, j, data.dim):
-        return 0
-    w = 2 * j - n
+    piece = data.piece(2 * j - n)
     if data.place is Place.COMPLEX:
-        return 2 * hc_dim_complex(data, n, j) - betti(data, w)
-    sign = 1 if (j + 1) % 2 == 0 else -1
-    return hc_dim(data, n, j) - betti_eigen(data, w, sign)
+        return 2 * piece.below(j + 1) - piece.total()
+    return piece.below(j + 1) - piece.eigen(1 if j % 2 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +167,8 @@ def weight_tails(data: HodgeData, w: int) -> tuple:
     of one step: (step, [(first, multiplicity), ...]).
 
     The multiplicity at eigenvalue m <= floor(w/2) is the archimedean
-    dimension at the index pair (w - 2m, w - m), i.e.
-    deligne_dim(w, w + 1 - m); eigenvalues above floor(w/2) never occur.
+    dimension :func:`har_dim` at the image (w - 2m, w - m) in E_d of
+    (w, m) in A_d; eigenvalues above floor(w/2) never occur.
     Going down, it only grows, by h^{p,q} (twice that at a complex
     place) once m reaches w - p.  So a complex place gets one step-1
     tail from floor(w/2) plus one per h^{p,q} with w - p below it, and
@@ -192,12 +177,15 @@ def weight_tails(data: HodgeData, w: int) -> tuple:
     at the first m <= w - p of the class.  That is at most
     2 * #h^{p,q} + 2 nonzero tails, whatever w and dim are.
     """
+    data.check_weight(w)
     top, piece = w // 2, data.piece(w)
     step, starts = ((1, (top,)) if data.place is Place.COMPLEX
                     else (2, (top, top - 1)))
     tails = []
     for c in starts:
-        if mult := deligne_dim(data, w, w + 1 - c):
+        # (w, c) in A_d is (w - 2c, w - c) in E_d, written out rather
+        # than through a_to_e, which would check A_d again per lookup
+        if mult := har_dim(data, w - 2 * c, w - c):
             tails.append((c, mult))
         tails += [(w - p - (w - p - c) % step, 2 // step * h)
                   for (p, _), h in piece.hpq.items() if p > w - c]

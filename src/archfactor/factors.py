@@ -18,7 +18,7 @@ exponent (-1)^(w+1), so even weights contribute inverted factors.
 """
 
 from .gamma import GammaExpression, product
-from .hodge import HodgeData, InputError, Place, WeightPiece
+from .hodge import HodgeData, Place, WeightPiece
 
 
 def serre_tables(piece: WeightPiece, place: Place,
@@ -35,13 +35,8 @@ def serre_tables(piece: WeightPiece, place: Place,
         for (p, q), h in piece.hpq.items():
             if p < q:
                 gc[-p] = gc.get(-p, 0) + k * h
-        mid = piece.middle()
-        if mid:
-            if piece.middle_split is None:
-                raise InputError(
-                    f"weight {piece.w}: real place requires middle_split "
-                    f"for nonzero middle Hodge number")
-            h_plus, h_minus = piece.middle_split
+        h_plus, h_minus = piece.split()
+        if h_plus or h_minus:
             p = piece.w // 2
             gr[-p] = gr.get(-p, 0) + k * h_plus
             gr[-p + 1] = gr.get(-p + 1, 0) + k * h_minus

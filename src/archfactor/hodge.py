@@ -90,18 +90,23 @@ class WeightPiece:
         """The Betti number of this weight."""
         return self._sums[-1]
 
-    def eigen(self, sign: int) -> int:
-        """Dimension of the ``sign`` eigenspace of conjugation at a real
-        place: the pairs p != q split evenly, the middle piece as
-        ``middle_split``, h_plus at the eigenvalue (-1)^(w/2)."""
-        off = self.below((self.w + 1) // 2)
+    def split(self) -> tuple:
+        """(h_plus, h_minus) of the middle number at a real place, or
+        (0, 0) when there is none."""
         if not self.middle():
-            return off
+            return 0, 0
         if self.middle_split is None:
             raise InputError(f"weight {self.w}: nonzero middle Hodge "
                              "number without middle_split")
-        h_plus, h_minus = self.middle_split
-        return off + (h_plus if sign == (-1) ** (self.w // 2 % 2) else h_minus)
+        return self.middle_split
+
+    def eigen(self, sign: int) -> int:
+        """Dimension of the ``sign`` eigenspace of conjugation at a real
+        place: the pairs p != q split evenly, the middle piece as
+        :meth:`split`, h_plus at the eigenvalue (-1)^(w/2)."""
+        h_plus, h_minus = self.split()
+        return self.below((self.w + 1) // 2) + (
+            h_plus if sign == (-1) ** (self.w // 2 % 2) else h_minus)
 
 
 class HodgeData:
@@ -123,6 +128,11 @@ class HodgeData:
             return NotImplemented
         return ((self.name, self.dim, self.place, self.weights)
                 == (other.name, other.dim, other.place, other.weights))
+
+    def check_weight(self, w: int) -> None:
+        """Refuse a weight outside [0, 2 * dim]."""
+        if not 0 <= w <= 2 * self.dim:
+            raise InputError(f"weight {w} outside [0, {2*self.dim}]")
 
     def piece(self, w: int) -> WeightPiece:
         """The piece of weight w; an absent weight reads as the empty

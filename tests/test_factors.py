@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from archfactor import (GammaExpression, Place, WeightPiece, betti,
+from archfactor import (GammaExpression, HodgeData, InputError, Place,
+                        WeightPiece, betti, betti_eigen,
                         completed_alternating_product, direct_sum, order_at,
                         pole_order, preset, product, serre_factor)
 from helpers import random_hodge_data
@@ -63,6 +64,18 @@ def test_missing_split_raises():
         serre_factor(piece, Place.REAL)
     # fine at a complex place
     assert serre_factor(piece, Place.COMPLEX) == GammaExpression(gc={-1: 1})
+
+
+def test_missing_split_has_one_message():
+    # unvalidated: the local factor and the Betti eigenspace refuse alike
+    piece = WeightPiece(2, {(1, 1): 1})
+    data = HodgeData("no split", 1, Place.REAL, (piece,))
+    message = "weight 2: nonzero middle Hodge number without middle_split"
+    for refused in (lambda: serre_factor(piece, Place.REAL),
+                    lambda: betti_eigen(data, 2, 1)):
+        with pytest.raises(InputError) as caught:
+            refused()
+        assert str(caught.value) == message
 
 
 def test_complex_place_ordered_pairs_double():

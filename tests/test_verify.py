@@ -237,14 +237,14 @@ def test_per_weight_breakdown_present():
 
 
 def test_spectrum_work_follows_the_data_not_dim(monkeypatch):
-    exact = cyclic_module.deligne_dim
+    exact = cyclic_module.har_dim
     calls = []
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
 
-    monkeypatch.setattr(cyclic_module, "deligne_dim", counted)
+    monkeypatch.setattr(cyclic_module, "har_dim", counted)
 
     def count(place, dim, w):
         calls.clear()
