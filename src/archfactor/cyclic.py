@@ -29,8 +29,9 @@ quantities that acceptance criteria 5, 6 and 8 bind.
 
 The scaling generator acts on the graded archimedean theory with
 integer eigenvalues.  Each weight's multiplicities are encoded as
-infinite tails alone, a few per Hodge number (``weight_tails``), so no
-eigenvalue is listed one at a time; ``theta_spectrum`` gathers the
+infinite tails alone (``weight_tails``): at either place one step-1
+tail per pair h^{p,q} = h^{q,p} with p != q, and at most two heads, so
+no eigenvalue is listed one at a time; ``theta_spectrum`` gathers the
 tails of all weights, or of one, into a :class:`SpectralMeasure`, one
 parity block per cohomological weight parity.
 """
@@ -162,34 +163,36 @@ class SpectralMeasure:
             if first >= m and (first - m) % step == 0)
 
 
-def weight_tails(data: HodgeData, w: int) -> tuple:
+def weight_tails(data: HodgeData, w: int) -> list:
     """The eigenvalue multiplicities of a single weight as infinite tails
-    of one step: (step, [(first, multiplicity), ...]).
+    [(first, step, multiplicity), ...], heads first.
 
     The multiplicity at eigenvalue m <= floor(w/2) is the archimedean
     dimension :func:`har_dim` at the image (w - 2m, w - m) in E_d of
     (w, m) in A_d; eigenvalues above floor(w/2) never occur.
-    Going down, it only grows, by h^{p,q} (twice that at a complex
-    place) once m reaches w - p.  So a complex place gets one step-1
-    tail from floor(w/2) plus one per h^{p,q} with w - p below it, and
-    a real place the same with step-2 tails per residue class of m mod
-    2, from c = floor(w/2) and c = floor(w/2) - 1, each h^{p,q} starting
-    at the first m <= w - p of the class.  That is at most
-    2 * #h^{p,q} + 2 nonzero tails, whatever w and dim are.
+    Going down, it grows by k * h^{p,q} once m reaches w - p, with k = 2
+    at a complex place and 1 at a real one, and is otherwise constant
+    over C and 2-periodic over R.  So each h^{p,q} with p > w/2 gives
+    one step-1 tail from w - p of multiplicity k * h^{p,q} (over R, the
+    two step-2 tails through w - p and w - p - 1 made one), and heads
+    carry what is left: one step-1 head from floor(w/2) over C,
+    step-2 heads from floor(w/2) and floor(w/2) - 1 over R.  That is at
+    most #h^{p,q} / 2 + 2 nonzero tails, whatever w and dim are.
     """
     data.check_weight(w)
     top, piece = w // 2, data.piece(w)
-    step, starts = ((1, (top,)) if data.place is Place.COMPLEX
-                    else (2, (top, top - 1)))
+    k, heads = ((2, (top,)) if data.place is Place.COMPLEX
+                else (1, (top, top - 1)))
+    base = piece.below(top + 1)  # the h^{p,q} with p <= w/2, in no tail
     tails = []
-    for c in starts:
+    for c in heads:
         # (w, c) in A_d is (w - 2c, w - c) in E_d, written out rather
         # than through a_to_e, which would check A_d again per lookup
-        if mult := har_dim(data, w - 2 * c, w - c):
-            tails.append((c, mult))
-        tails += [(w - p - (w - p - c) % step, 2 // step * h)
-                  for (p, _), h in piece.hpq.items() if p > w - c]
-    return step, tails
+        if mult := (har_dim(data, w - 2 * c, w - c)
+                    - k * (piece.below(w - c + 1) - base)):
+            tails.append((c, 2 // k, mult))
+    tails += [(w - p, 1, k * h) for (p, _), h in piece.hpq.items() if p > top]
+    return tails
 
 
 def theta_spectrum(data: HodgeData, w: int | None = None) -> SpectralMeasure:
@@ -199,6 +202,5 @@ def theta_spectrum(data: HodgeData, w: int | None = None) -> SpectralMeasure:
     nothing, so the cost follows the nonzero Hodge data, not ``dim``."""
     parts = ([], [])
     for v in (piece.w for piece in data.weights) if w is None else (w,):
-        step, tails = weight_tails(data, v)
-        parts[v % 2].extend((first, step, mult) for first, mult in tails)
+        parts[v % 2].extend(weight_tails(data, v))
     return SpectralMeasure(*parts)

@@ -139,18 +139,34 @@ def nearest_divisor_point(x: GammaExpression):
     """The zero or pole of x nearest to 0, ties to the negative side;
     None when x has neither.
 
-    With R the largest |root| or |shift|, the order is 0 for m > R and
-    2-periodic for m < -R, so if x has a zero or pole at all, it has
-    one with |m| <= R + 2.
+    In the normal form the order at m is minus the sum of the e_a over
+    the shifts a <= -m with a = m mod 2.  So along a residue class it is
+    constant on each run m = -a, -a - 2, ..., 2 - b, with b the next
+    shift of the class after a, or without end after the last; each run
+    of nonzero order offers its point nearest 0.  The cost follows the
+    number of shifts, not how far the point lies from 0.
     """
-    if not (x.lin or x.gr or x.gc):
-        return None
-    reach = max(map(abs, (*x.lin, *x.gr, *x.gc)), default=0) + 2
-    for k in range(reach + 1):
-        for m in sorted({-k, k}):
-            if order_at(x, m):
-                return m
-    return None
+    gr, points = normal_exponents(x), []
+    for r in (0, 1):
+        shifts = sorted(a for a in gr if a % 2 == r)
+        order = 0
+        for a, b in zip(shifts, [*shifts[1:], None]):
+            order -= gr[a]
+            if order:
+                points.append(min(-r if b is None else max(2 - b, -r), -a))
+    return min(points, key=lambda m: (abs(m), m), default=None)
+
+
+def normal_exponents(x: GammaExpression) -> dict:
+    """The GR exponents of :func:`normalize` (x), zeros not yet dropped."""
+    gr = dict(x.gr)
+    for a, e in x.gc.items():
+        gr[a] = gr.get(a, 0) + e
+        gr[a + 1] = gr.get(a + 1, 0) + e
+    for m, e in x.lin.items():
+        gr[2 - m] = gr.get(2 - m, 0) + e
+        gr[-m] = gr.get(-m, 0) - e
+    return gr
 
 
 def normalize(x: GammaExpression) -> GammaExpression:
@@ -165,14 +181,7 @@ def normalize(x: GammaExpression) -> GammaExpression:
     mod 2 the pole orders are the partial sums of the e_a, so the
     divisor fixes every e_a, and what is left, 2^(h/2), fixes h.
     """
-    gr = dict(x.gr)
-    for a, e in x.gc.items():
-        gr[a] = gr.get(a, 0) + e
-        gr[a + 1] = gr.get(a + 1, 0) + e
-    for m, e in x.lin.items():
-        gr[2 - m] = gr.get(2 - m, 0) + e
-        gr[-m] = gr.get(-m, 0) - e
-    return GammaExpression(gr,
+    return GammaExpression(normal_exponents(x),
                            halves=x.halves - 2 * sum(x.gc.values())).clean()
 
 

@@ -16,10 +16,10 @@ zeta_H'(0, x) = log Gamma(x) - (1/2) log(2*pi) gives the closed forms
 
 Finite progressions are plain products of the factors (s - m)/(2*pi).
 The closed forms are added into the exponent tables of a
-:class:`GammaExpression`; :func:`hurwitz_zeta_deriv0` evaluates
--zeta_block'(0) for mu = 1 by direct Euler-Maclaurin summation, with no
-Gamma function anywhere, and serves as the independent numerical oracle
-for all of the above.
+:class:`GammaExpression`, each tail by its own step;
+:func:`hurwitz_zeta_deriv0` evaluates -zeta_block'(0) for mu = 1 by
+direct Euler-Maclaurin summation, with no Gamma function anywhere, and
+serves as the independent numerical oracle for all of the above.
 """
 
 import math
@@ -41,19 +41,19 @@ _B_EVEN = (
 )
 
 
-def add_tail_determinants(out: GammaExpression, step: int, tails,
+def add_tail_determinants(out: GammaExpression, tails,
                           k: int = 1) -> GammaExpression:
     """Multiply the k-th power of the block determinant of each infinite
-    tail (first, multiplicity) of one step into ``out``, in closed form."""
-    if step not in (1, 2):
-        raise InputError(
-            f"no closed form for infinite step-{step} progressions")
-    table, total = (out.gc if step == 1 else out.gr), 0
-    for first, mu in tails:
-        table[-first] = table.get(-first, 0) - k * mu
-        total += mu
-    if step == 2:
-        out.halves += k * total
+    tail (first, step, multiplicity) into ``out``, in closed form."""
+    for first, step, mu in tails:
+        if step == 1:
+            out.gc[-first] = out.gc.get(-first, 0) - k * mu
+        elif step == 2:
+            out.gr[-first] = out.gr.get(-first, 0) - k * mu
+            out.halves += k * mu
+        else:
+            raise InputError(
+                f"no closed form for infinite step-{step} progressions")
     return out
 
 
@@ -64,7 +64,7 @@ def regdet_progression(p: Progression) -> GammaExpression:
     if p.multiplicity == 0 or p.count == 0:
         return out
     if p.count is None:
-        return add_tail_determinants(out, p.step, ((p.first, p.multiplicity),))
+        return add_tail_determinants(out, ((p.first, p.step, p.multiplicity),))
     out.lin = {m: p.multiplicity for m in range(
         p.first - (p.count - 1) * p.step, p.first + 1, p.step)}
     return out

@@ -10,7 +10,10 @@ factors are GCs, which cancel to 1.  Over R, L_w has h = h^{w/2,w/2} GRs
 and P = sum_{p<q} h^{p,q} GCs; in GRs the sides cancel only if the tails'
 multiplicities sum to 2P + h, leaving 2^(k((2P + h)/2 - P)) = 2^(-h/2), as
 h = 0 for odd w.  So a weight matches exactly when the normal form of
-LHS_w / RHS_w, GRs alone and a power of 2, computed inline, is 2^(-h/2).
+LHS_w / RHS_w, GRs alone and a power of 2, is 2^(-h/2).  Each GC of
+L_w is the determinant of one step-1 tail (over C, the middle one's is
+the head), so on valid data the two GC tables are equal and cancel
+before any is written in GRs.
 The residue LHS / RHS is the normal form of the product of the weights'
 quotients; the normal form is linear in the exponents, so a matching
 weight adds only -h/2 to the exponent of 2.  It names its zero or pole
@@ -25,7 +28,7 @@ from .cyclic import weight_tails
 from .factors import serre_tables
 from .gamma import (LN2, SINGULARITY_GUARD, EvaluationRangeError,
                     GammaExpression, evaluate_log, nearest_divisor_point,
-                    normalize, render)
+                    normal_exponents, normalize, render)
 from .hodge import HodgeData, InputError, Place, validate
 from .regdet import add_tail_determinants
 
@@ -116,32 +119,25 @@ def verify_theorem(data: HodgeData, samples=None,
         k = 1 if piece.w % 2 else -1
         x = serre_tables(piece, data.place, k)
         y = add_tail_determinants(GammaExpression(),
-                                  *weight_tails(data, piece.w), -k)
-        # x / y in normal form, computed inline: GR shifts (each GC as
-        # two, each linear factor as a quotient of two) and halves
-        shifts, halves = {}, 0
-        for total, t, sign in ((lhs, x, 1), (rhs, y, -1)):
-            for a, e in t.gr.items():
-                total.gr[a] = total.gr.get(a, 0) + e
-                shifts[a] = shifts.get(a, 0) + sign * e
-            for a, e in t.gc.items():
-                total.gc[a] = total.gc.get(a, 0) + e
-                shifts[a] = shifts.get(a, 0) + sign * e
-                shifts[a + 1] = shifts.get(a + 1, 0) + sign * e
-            for m, e in t.lin.items():
-                total.lin[m] = total.lin.get(m, 0) + e
-                shifts[2 - m] = shifts.get(2 - m, 0) + sign * e
-                shifts[-m] = shifts.get(-m, 0) - sign * e
-            total.halves += t.halves
-            halves += sign * (t.halves - 2 * sum(t.gc.values()))
+                                  weight_tails(data, piece.w), -k)
+        lhs.add(x)
+        rhs.add(y)
+        if x.gc == y.gc:  # the rule on valid data: they cancel exactly
+            x.gc, y.gc = {}, {}
+        ratio = x.add(y, -1)  # LHS_w / RHS_w, built in place
+        # its normal form, uncleaned: 2^(halves/2) and GR exponents
+        halves = ratio.halves - 2 * sum(ratio.gc.values())
         h = piece.middle() if data.place is Place.REAL else 0
-        match = halves == -h and not any(shifts.values())
+        match = halves == -h and not any(normal_exponents(ratio).values())
         per_weight.append((piece.w, match))
         if match:
             quotient.halves -= h
         else:
-            quotient.add(x).add(y, -1)
-    lhs, rhs, residue = lhs.clean(), rhs.clean(), normalize(quotient)
+            quotient.add(ratio)
+    # over R, in normal form: each step-1 tail's GC as the GR pair of
+    # the two step-2 tails it stands for
+    rhs = normalize(rhs) if data.place is Place.REAL else rhs.clean()
+    lhs, residue = lhs.clean(), normalize(quotient)
     witness = nearest_divisor_point(residue)
 
     points, diffs = [], []

@@ -129,7 +129,7 @@ def _rows(top, *runs):
 @pytest.mark.parametrize("name, heads, tails, constants", [
     ("elliptic_R",
      {"even": _rows(1, (20, 1)), "odd": _rows(0, (20, 1))},
-     {"even": [(0, 2, 1), (1, 2, 1)], "odd": [(0, 2, 1), (-1, 2, 1)]},
+     {"even": [(0, 2, 1), (1, 2, 1)], "odd": [(0, 1, 1)]},
      {"even": {0: 1, 1: 1}, "odd": {0: 1, 1: 1}}),
     ("P2_C",
      {"even": _rows(2, (1, 1), (1, 2), (18, 3)), "odd": _rows(0, (20, 0))},

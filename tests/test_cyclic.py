@@ -277,6 +277,6 @@ def test_tails_match_the_head_encoding():
                 periodic = -3 if not real or (m + 3) % 2 == 0 else -4
                 assert (measure.multiplicity(w % 2, m)
                         == pole_order(data, w, periodic)), (data, w, m)
-            step, tails = weight_tails(data, w)
-            assert step == (2 if real else 1)
-            assert len(tails) <= 2 * len(piece.hpq) + 2
+            tails = weight_tails(data, w)
+            assert {step for _, step, _ in tails} <= {1, 1 + real}
+            assert len(tails) <= len(piece.hpq) // 2 + 2

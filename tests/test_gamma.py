@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,48 @@ def test_nearest_divisor_point_matches_scan():
         expect = min(points, key=lambda m: (abs(m), m), default=None)
         assert nearest_divisor_point(x) == expect, x
         assert nearest_divisor_point(normalize(x)) == expect, x
+
+
+def _scan_nearest(x):
+    """The search nearest_divisor_point replaced, kept as the reference:
+    order_at at m = 0, -1, 1, -2, 2, ... out to the largest |root| or
+    |shift| plus 2, beyond which the order is 0 or 2-periodic."""
+    if not (x.lin or x.gr or x.gc):
+        return None
+    reach = max(map(abs, (*x.lin, *x.gr, *x.gc)), default=0) + 2
+    for k in range(reach + 1):
+        for m in sorted({-k, k}):
+            if order_at(x, m):
+                return m
+    return None
+
+
+def test_nearest_divisor_point_matches_the_old_scan():
+    # shifts and roots in [-30, 30], so runs of several shifts per
+    # residue class, and exponents that often cancel along a run
+    rng = random.Random(206)
+    for _ in range(3000):
+        x = GammaExpression()
+        for _ in range(rng.randint(0, 8)):
+            table = rng.choice([x.gr, x.gc, x.lin])
+            k = rng.randint(-30, 30)
+            table[k] = table.get(k, 0) + rng.choice([-2, -1, 1, 2])
+        assert nearest_divisor_point(x) == _scan_nearest(x), x
+        assert nearest_divisor_point(normalize(x)) == _scan_nearest(x), x
+
+
+@pytest.mark.parametrize("n", [10 ** 6, 2 ** 52])
+def test_far_witness_is_found_without_a_scan(n):
+    # each has one zero or pole, at n or -n; the old scan stepped out to
+    # it one point at a time: about 1.3 s at 10^6, and no end near 2^52
+    for x, witness in (
+            (GammaExpression(gr={-n: 1, 2 - n: -1}), n),  # 2 pi / (s - n)
+            (GammaExpression(gr={n: 1, n + 2: -1}), -n),
+            (GammaExpression(gc={-n: 1, 1 - n: -1}), n),
+            (GammaExpression(lin={-n: 1}), -n)):
+        start = time.perf_counter()
+        assert nearest_divisor_point(x) == witness, x
+        assert time.perf_counter() - start < 0.1, x
 
 
 def test_nearest_divisor_point_none_when_the_factors_cancel():

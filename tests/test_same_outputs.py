@@ -107,13 +107,13 @@ def bumped_tails(bump):
     exact = verify_module.weight_tails
 
     def bumped(data, w):
-        step, tails = exact(data, w)
+        tails = exact(data, w)
         if w == bump[0] and tails:
             tails = list(tails)
             i = bump[1] % len(tails)
-            first, mult = tails[i]
-            tails[i] = (first + bump[2], mult + bump[3])
-        return step, tails
+            first, step, mult = tails[i]
+            tails[i] = (first + bump[2], step, mult + bump[3])
+        return tails
 
     verify_module.weight_tails = bumped
     try:

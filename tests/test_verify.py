@@ -16,7 +16,10 @@ from archfactor import (PRESET_NAMES, GammaExpression, HodgeData, Place,
                         nearest_divisor_point, normalize, preset, product,
                         regdet_progression, serre_factor, theta_spectrum,
                         verify_theorem)
+from archfactor.cyclic import weight_tails
+from archfactor.factors import serre_tables
 from archfactor.gamma import EvaluationRangeError
+from archfactor.regdet import add_tail_determinants
 from archfactor.verify import spread
 from helpers import full_diamond, random_hodge_data
 
@@ -81,21 +84,21 @@ def test_wrong_multiplicity_fails_its_weight(monkeypatch):
     skew = {"first": 0, "mult": 1}
 
     def skewed(data, w):
-        step, tails = exact(data, w)
+        tails = exact(data, w)
         if w != 1:
-            return step, tails
-        (first, mult), *rest = tails
-        return step, [(first + skew["first"], mult + skew["mult"]), *rest]
+            return tails
+        (first, step, mult), *rest = tails
+        return [(first + skew["first"], step, mult + skew["mult"]), *rest]
 
     monkeypatch.setattr(verify_module, "weight_tails", skewed)
     report = verify_theorem(preset("elliptic_R"))
     assert report.ok() is False
     assert dict(report.per_weight) == {0: True, 1: False, 2: True}
-    # weight 1's first tail moved from m = 0 to m = -1: the residue is
+    # weight 1's step-1 tail moved from m = 0 to m = -1: the residue is
     # printed in GRs alone, never as a linear factor
     skew.update(first=-1, mult=0)
     for name, residue in (("elliptic_C", "GR(s+0)^2 * GR(s+2)^-2"),
-                          ("elliptic_R", "2^(-1) * GR(s+0)^1 * GR(s+1)^-1")):
+                          ("elliptic_R", "2^(-1) * GR(s+0)^1 * GR(s+2)^-1")):
         report = verify_theorem(preset(name))
         assert report.to_json_dict()["residue"] == residue, name
         assert report.mismatch_witness == 0, name
@@ -111,9 +114,9 @@ def test_wrong_multiplicity_fails_its_weight(monkeypatch):
 def test_constant_is_asserted(monkeypatch, name, a2, allowed):
     exact = verify_module.add_tail_determinants
 
-    def scaled(out, step, tails, k=1):
+    def scaled(out, tails, k=1):
         # every block determinant of the weight times 2^a2
-        return exact(out, step, tails, k).add(
+        return exact(out, tails, k).add(
             GammaExpression(halves=2 * Fraction(a2)), k)
 
     monkeypatch.setattr(verify_module, "add_tail_determinants", scaled)
@@ -128,19 +131,25 @@ def test_dropped_step_two_constant_is_a_mismatch(monkeypatch):
     # and leaves a power of sqrt(2), but not the one the theorem predicts
     exact = verify_module.add_tail_determinants
 
-    def dropped(out, step, tails, k=1):
+    def dropped(out, tails, k=1):
         halves = out.halves
-        exact(out, step, tails, k)
+        exact(out, tails, k)
         out.halves = halves
         return out
 
     monkeypatch.setattr(verify_module, "add_tail_determinants", dropped)
     for name in PRESET_NAMES:
-        report = verify_theorem(preset(name))
-        real = preset(name).place is Place.REAL
+        data = preset(name)
+        report = verify_theorem(data)
+        step_two = {piece.w for piece in data.weights if any(
+            step == 2 for _, step, _ in verify_module.weight_tails(
+                data, piece.w))}
+        # over R every middle Hodge number is a step-2 block, over C none
+        assert bool(step_two) is (data.place is Place.REAL), name
         assert report.divisor_match, name
-        assert report.ok() is not real, name
-        assert all(match is not real for _, match in report.per_weight), name
+        assert report.ok() is not bool(step_two), name
+        assert {w for w, match in report.per_weight
+                if not match} == step_two, name
 
 
 @pytest.mark.parametrize("place", list(Place))
@@ -177,13 +186,13 @@ def test_tate_twist_moves_the_residue_to_s_minus_one(monkeypatch):
     exact = verify_module.weight_tails
 
     def bumped(data, w):
-        step, tails = exact(data, w)
+        tails = exact(data, w)
         if w in bumps and tails:
             i, dfirst, dmult = bumps[w]
             tails = list(tails)
-            first, mult = tails[i % len(tails)]
-            tails[i % len(tails)] = (first + dfirst, mult + dmult)
-        return step, tails
+            first, step, mult = tails[i % len(tails)]
+            tails[i % len(tails)] = (first + dfirst, step, mult + dmult)
+        return tails
 
     monkeypatch.setattr(verify_module, "weight_tails", bumped)
     rng = random.Random(806)
@@ -292,9 +301,9 @@ def test_stray_root_is_witnessed(monkeypatch, offset):
     root = data.dim + offset
     stray = GammaExpression(lin={root: 1})
 
-    def shifted(out, step, tails, k=1):
+    def shifted(out, tails, k=1):
         # a linear factor ((s - root)/2pi) in each weight's RHS
-        return exact(out, step, tails, k).add(stray, -1)
+        return exact(out, tails, k).add(stray, -1)
 
     monkeypatch.setattr(verify_module, "add_tail_determinants", shifted)
     report = verify_theorem(data)
@@ -318,13 +327,13 @@ def test_integer_tables_match_the_expression_route(monkeypatch):
     exact_tails = cyclic_module.weight_tails
 
     def bumped(data, w):
-        step, tails = exact_tails(data, w)
+        tails = exact_tails(data, w)
         if w in bumps and tails:
             i, dfirst, dmult = bumps[w]
-            first, mult = tails[i % len(tails)]
+            first, step, mult = tails[i % len(tails)]
             tails = list(tails)
-            tails[i % len(tails)] = (first + dfirst, mult + dmult)
-        return step, tails
+            tails[i % len(tails)] = (first + dfirst, step, mult + dmult)
+        return tails
 
     monkeypatch.setattr(verify_module, "evaluate_log", recorded)
     monkeypatch.setattr(verify_module, "weight_tails", bumped)
@@ -358,9 +367,33 @@ def test_integer_tables_match_the_expression_route(monkeypatch):
             per_weight.append((w, residues[-1] == GammaExpression(halves=-h)))
         assert report.per_weight == tuple(per_weight), data
         assert report.residue == product(residues), data
-        assert evaluated[1] == product(ratios), data
+        # over R the RHS is evaluated in normal form, its GCs as GR pairs
+        rhs = product(ratios)
+        assert evaluated[1] == (normalize(rhs) if data.place is Place.REAL
+                                else rhs), data
         mismatched += not report.ok()
     assert mismatched == bumped_docs > 80
+
+
+def test_local_factor_and_tails_have_equal_gc_tables():
+    # the rule the balance of verify_theorem relies on: each GC of L_w
+    # is one step-1 tail of the spectrum, so the GC tables of LHS_w and
+    # RHS_w are equal and cancel without being expanded into GRs
+    rng = random.Random(807)
+    datasets = [preset(name) for name in PRESET_NAMES]
+    datasets += [random_hodge_data(rng, max_dim=6,
+                                   max_entry=rng.choice((4, 10 ** 6)),
+                                   place=(Place.REAL, Place.COMPLEX)[i % 2])
+                 for i in range(200)]
+    datasets += [full_diamond(place, 3, d)
+                 for d in range(9) for place in Place]
+    for data in datasets:
+        for piece in data.weights:
+            k = 1 if piece.w % 2 else -1
+            x = serre_tables(piece, data.place, k)
+            y = add_tail_determinants(GammaExpression(),
+                                      weight_tails(data, piece.w), -k)
+            assert x.gc == y.gc, (data.name, data.place, piece.w)
 
 
 def test_verify_builds_no_progression_and_one_normal_form(monkeypatch):
@@ -385,7 +418,8 @@ def test_verify_builds_no_progression_and_one_normal_form(monkeypatch):
     for data in datasets:
         normal_forms.clear()
         verify_theorem(data)
-        assert len(normal_forms) == 1, data
+        # the residue's, and over R the RHS's; none per weight
+        assert len(normal_forms) == 1 + (data.place is Place.REAL), data
     assert progressions == []
     Progression(0, 1, None, 1)  # the counter itself counts
     assert progressions
