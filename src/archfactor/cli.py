@@ -66,8 +66,7 @@ def _cmd_presets(args, data):
 def _cmd_factors(args, data):
     per_weight = {piece.w: serre_tables(piece, data.place).clean()
                   for piece in data.weights}
-    product = gamma.product(x if w % 2 else gamma.GammaExpression().add(x, -1)
-                            for w, x in per_weight.items())
+    product = completed_alternating_product(data, per_weight)
     return ({"name": data.name,
              "weights": {str(w): gamma.expression_to_json(x)
                          for w, x in per_weight.items()},

@@ -48,10 +48,11 @@ def serre_factor(piece: WeightPiece, place: Place) -> GammaExpression:
     return serre_tables(piece, Place(place)).clean()
 
 
-def completed_alternating_product(data: HodgeData) -> GammaExpression:
-    """prod_w serre_factor(w)^((-1)^(w+1)) over all weights of the data.
-
-    Absent weights contribute the empty product.
-    """
-    return product(serre_tables(piece, data.place, 1 if piece.w % 2 else -1)
-                   for piece in data.weights)
+def completed_alternating_product(data: HodgeData,
+                                  factors=None) -> GammaExpression:
+    """prod_w L_w^((-1)^(w+1)) over the weights of the data, from their
+    local factors {w: L_w} when given; an absent weight contributes 1."""
+    if factors is None:
+        factors = {p.w: serre_tables(p, data.place) for p in data.weights}
+    return product(GammaExpression().add(x, 1 if w % 2 else -1)
+                   for w, x in factors.items())

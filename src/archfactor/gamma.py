@@ -3,12 +3,12 @@
 The one value type is :class:`GammaExpression`, a finite formal product
 
     2^(halves/2) * prod_a GR(s + a)^gr[a] * prod_a GC(s + a)^gc[a]
-                 * prod_m ((s - m) / (2*pi))^lin[m]
 
-with integer shifts ``a``, integer exponents, integer roots ``m`` of the
-linear factors, and the power of 2 kept as an integer number ``halves``
-of square roots of 2.  The two Gamma building blocks are fixed once and
-for all as
+with integer shifts ``a``, integer exponents, and the power of 2 kept as
+an integer number ``halves`` of square roots of 2.  A linear factor
+needs no table of its own: GR(z+2) = (z/2pi) GR(z) writes (s - m)/2pi
+as GR(s - m + 2) / GR(s - m).  The two Gamma building blocks are fixed
+once and for all as
 
     GR(z) = pi^(-z/2)   * Gamma(z/2)      poles: z = 0, -2, -4, ...
     GC(z) = (2*pi)^(-z) * Gamma(z)        poles: z = 0, -1, -2, ...
@@ -22,9 +22,8 @@ constant 1, and the duplication formula picks up a 2:
 
 A step-2 progression gives 2^(mu/2) * GR(s - m0)^(-mu), so a whole
 number of halves is the only prefactor a determinant or a normal form
-ever carries.  With that and GR(z+2) = (z/2pi) GR(z), every expression
-is 2^(h/2) times GRs alone, at most two for each of its factors: the
-normal form.
+ever carries.  With duplication, every expression is 2^(h/2) times GRs
+alone, at most two for each of its factors: the normal form.
 
 Products are built in place, one dict update per term
 (:meth:`GammaExpression.add`), and cleaned once at the end
@@ -37,6 +36,7 @@ exponents never overflow.
 """
 
 import math
+import types
 
 from .hodge import InputError
 
@@ -62,38 +62,36 @@ def _nonzero(table) -> dict:
 
 
 class GammaExpression:
-    """A formal product of GR/GC factors, linear factors and a power of 2.
+    """A formal product of GR and GC factors and a power of 2.
 
     ``gr`` maps a shift ``a`` to the exponent of GR(s+a), ``gc`` likewise
-    for GC(s+a), and ``lin`` maps an integer ``m`` to the exponent of
-    ((s-m)/2pi); the prefactor is 2^(halves/2).  The tables are mutable
+    for GC(s+a); the prefactor is 2^(halves/2).  The tables are mutable
     and may hold zero exponents until :meth:`clean`; two expressions are
     equal exactly when their nonzero exponents and ``halves`` agree.
     """
 
-    __slots__ = ("gr", "gc", "lin", "halves")
+    __slots__ = ("gr", "gc", "halves")
+    # empty and read-only, for benchmark/spans.py _terms (ROADMAP item 2)
+    lin = types.MappingProxyType({})
 
-    def __init__(self, gr=None, gc=None, lin=None, halves=0):
+    def __init__(self, gr=None, gc=None, halves=0):
         self.gr = {} if gr is None else gr
         self.gc = {} if gc is None else gc
-        self.lin = {} if lin is None else lin
         self.halves = halves
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return (self.halves == other.halves
-                and all(_nonzero(a) == _nonzero(b) for a, b in (
-                    (self.gr, other.gr), (self.gc, other.gc),
-                    (self.lin, other.lin))))
+                and _nonzero(self.gr) == _nonzero(other.gr)
+                and _nonzero(self.gc) == _nonzero(other.gc))
 
     def __repr__(self) -> str:
         return f"<GammaExpression {render(self)}>"
 
     def add(self, x: "GammaExpression", k: int = 1) -> "GammaExpression":
         """Multiply x^k in, in place."""
-        for out, table in ((self.gr, x.gr), (self.gc, x.gc),
-                           (self.lin, x.lin)):
+        for out, table in ((self.gr, x.gr), (self.gc, x.gc)):
             for key, e in table.items():
                 out[key] = out.get(key, 0) + k * e
         self.halves += k * x.halves
@@ -104,7 +102,6 @@ class GammaExpression:
         order in which :func:`evaluate_log` sums and guards."""
         self.gr = {a: e for a, e in sorted(self.gr.items()) if e}
         self.gc = {a: e for a, e in sorted(self.gc.items()) if e}
-        self.lin = {m: e for m, e in sorted(self.lin.items()) if e}
         return self
 
 
@@ -121,10 +118,10 @@ def order_at(x: GammaExpression, m: int) -> int:
     """Order of vanishing of x at s = m (negative for a pole).
 
     GR(s+a) has simple poles where m+a is a nonpositive even integer,
-    GC(s+a) wherever m+a is a nonpositive integer, and a linear factor
-    contributes its exponent at its root.  The prefactor never vanishes.
+    GC(s+a) wherever m+a is a nonpositive integer.  The prefactor never
+    vanishes.
     """
-    ord_ = x.lin.get(m, 0)
+    ord_ = 0
     for a, e in x.gr.items():
         z = m + a
         if z <= 0 and z % 2 == 0:
@@ -163,23 +160,19 @@ def normal_exponents(x: GammaExpression) -> dict:
     for a, e in x.gc.items():
         gr[a] = gr.get(a, 0) + e
         gr[a + 1] = gr.get(a + 1, 0) + e
-    for m, e in x.lin.items():
-        gr[2 - m] = gr.get(2 - m, 0) + e
-        gr[-m] = gr.get(-m, 0) - e
     return gr
 
 
 def normalize(x: GammaExpression) -> GammaExpression:
     """The canonical form 2^(h/2) * prod_a GR(s+a)^(e_a) of x, as a new,
-    clean expression: no GC, no linear factor, no zero exponent.
+    clean expression: no GC, no zero exponent.
 
-    Duplication writes GC(z) as 2^(-1) GR(z) GR(z+1), and the step-2
-    shift GR(z+2) = (z/2pi) GR(z) writes a linear factor (s-m)/2pi as
-    GR(s-m+2) / GR(s-m), so the form has at most two factors per factor
-    of x, whatever the shifts.  Two expressions have the same value
-    exactly when their normal forms are equal: along each residue class
-    mod 2 the pole orders are the partial sums of the e_a, so the
-    divisor fixes every e_a, and what is left, 2^(h/2), fixes h.
+    Duplication writes GC(z) as 2^(-1) GR(z) GR(z+1), so the form has at
+    most two factors per factor of x, whatever the shifts.  Two
+    expressions have the same value exactly when their normal forms are
+    equal: along each residue class mod 2 the pole orders are the partial
+    sums of the e_a, so the divisor fixes every e_a, and what is left,
+    2^(h/2), fixes h.
     """
     return GammaExpression(normal_exponents(x),
                            halves=x.halves - 2 * sum(x.gc.values())).clean()
@@ -204,14 +197,12 @@ def loggamma_signed(z: float):
 def evaluate_log(x: GammaExpression, s: float, guard: float = SINGULARITY_GUARD):
     """(log|x(s)|, sign of x(s)) for real s away from zeros and poles.
 
-    One pass guards and evaluates each factor, GR before GC before
-    linear, each table in its own order (sorted, once cleaned).  Raises
-    :class:`SingularEvaluationError` for the first one within ``guard``
-    of a point where it vanishes or blows up, or exactly on one whatever
-    the guard, which covers every point of the divisor and also
-    removable singularities, where termwise log evaluation is
-    impossible, and :class:`EvaluationRangeError` if log|x(s)| is not a
-    finite float.
+    One pass guards and evaluates each factor, GR before GC, each table in
+    its own order (sorted, once cleaned).  :class:`SingularEvaluationError`
+    names the first one at most ``guard`` from a pole; on a pole it is
+    raised whatever the guard, which covers the divisor and removable
+    singularities, where termwise log evaluation is impossible.
+    :class:`EvaluationRangeError` if log|x(s)| is not a finite float.
     """
     total = x.halves / 2 * LN2
     sign = 1
@@ -223,21 +214,13 @@ def evaluate_log(x: GammaExpression, s: float, guard: float = SINGULARITY_GUARD)
                 total += e * (math.lgamma(z) - z * log_c)
                 continue
             k = round(z)
-            if k <= 0 and abs(z - k) < guard:
+            if k <= 0 and abs(z - k) <= guard:
                 raise SingularEvaluationError(
                     f"{name}(s{a:+d}) singular near s={s}")
             lg, sg = loggamma_signed(z)
             total += e * (lg - z * log_c)
             if e % 2 and sg < 0:
                 sign = -sign
-    for m, e in x.lin.items():
-        if s == m or abs(s - m) < guard:
-            raise SingularEvaluationError(
-                f"linear factor root m={m} near s={s}")
-        v = (s - m) / (2.0 * math.pi)
-        total += e * math.log(abs(v))
-        if e % 2 and v < 0:
-            sign = -sign
     if not math.isfinite(total):
         raise EvaluationRangeError(f"log|value| overflows a float at s={s}")
     return total, sign
@@ -249,7 +232,7 @@ def _a2(halves: int) -> str:
 
 
 def render(x: GammaExpression) -> str:
-    """Plain-text form, e.g. ``2^(1/2) * GR(s-1)^-1 * ((s+2)/2pi)^1``."""
+    """Plain-text form, e.g. ``2^(1/2) * GR(s-1)^-1 * GC(s+2)^1``."""
     parts = []
     if x.halves:
         parts.append(f"2^({_a2(x.halves)})")
@@ -257,8 +240,6 @@ def render(x: GammaExpression) -> str:
         parts.append(f"GR(s{a:+d})^{e}")
     for a, e in sorted(x.gc.items()):
         parts.append(f"GC(s{a:+d})^{e}")
-    for m, e in sorted(x.lin.items()):
-        parts.append(f"((s{-m:+d})/2pi)^{e}")
     return " * ".join(parts) if parts else "1"
 
 
@@ -268,8 +249,9 @@ def expression_to_json(x: GammaExpression) -> dict:
     return {
         "gr": {str(a): e for a, e in sorted(x.gr.items())},
         "gc": {str(a): e for a, e in sorted(x.gc.items())},
-        "lin": {str(m): e for m, e in sorted(x.lin.items())},
-        # b2, api and bpi (2^s, pi, pi^s) are always 0 here, but
-        # benchmark/reference.py expression_log reads all four keys
+        # lin (linear factors), b2, api and bpi (2^s, pi, pi^s) are always
+        # empty or 0 here, but benchmark/reference.py expression_log reads
+        # each of these keys
+        "lin": {},
         "pre": {"a2": _a2(x.halves), "b2": "0", "api": "0", "bpi": "0"},
     }

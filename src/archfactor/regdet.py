@@ -14,12 +14,14 @@ zeta_H'(0, x) = log Gamma(x) - (1/2) log(2*pi) gives the closed forms
     step 1:  det = GC(s - m0)^(-mu)                (constant exactly 1)
     step 2:  det = 2^(mu/2) * GR(s - m0)^(-mu).
 
-Finite progressions are plain products of the factors (s - m)/(2*pi).
-The closed forms are added into the exponent tables of a
-:class:`GammaExpression`, each tail by its own step;
-:func:`hurwitz_zeta_deriv0` evaluates -zeta_block'(0) for mu = 1 by
-direct Euler-Maclaurin summation, with no Gamma function anywhere, and
-serves as the independent numerical oracle for all of the above.
+A finite progression is the product of its factors (s - m)/(2*pi), each
+the GR ratio GR(s - m + 2) / GR(s - m); for steps 1 and 2 the ratios
+telescope, to at most four GRs whatever the count.  The closed forms
+are added into the exponent tables of a :class:`GammaExpression`, each
+tail by its own step; :func:`hurwitz_zeta_deriv0` evaluates
+-zeta_block'(0) for mu = 1 by direct Euler-Maclaurin summation, with no
+Gamma function anywhere, and serves as the independent numerical oracle
+for all of the above.
 """
 
 import math
@@ -59,15 +61,17 @@ def add_tail_determinants(out: GammaExpression, tails,
 
 def regdet_progression(p: Progression) -> GammaExpression:
     """Exact closed form of the block determinant of one progression; a
-    finite one is a plain product of linear factors."""
+    finite one is the product of GR(s - m + 2) / GR(s - m) over its terms."""
     out = GammaExpression()
     if p.multiplicity == 0 or p.count == 0:
         return out
     if p.count is None:
         return add_tail_determinants(out, ((p.first, p.step, p.multiplicity),))
-    out.lin = {m: p.multiplicity for m in range(
-        p.first - (p.count - 1) * p.step, p.first + 1, p.step)}
-    return out
+    gr, mu = out.gr, p.multiplicity
+    for a in range(-p.first, p.count * p.step - p.first, p.step):  # a = -m
+        gr[a + 2] = gr.get(a + 2, 0) + mu
+        gr[a] = gr.get(a, 0) - mu
+    return out.clean()
 
 
 def hurwitz_zeta_deriv0(x: float, two_pi_over_delta: float) -> float:

@@ -49,16 +49,22 @@ def full_diamond(place: Place, value: int, d: int = 3) -> HodgeData:
     return HodgeData(f"diamond_{place.value}", d, place, tuple(pieces))
 
 
+def linear_factor(m: int, e: int = 1) -> GammaExpression:
+    """((s - m)/2pi)^e, written as (GR(s - m + 2) / GR(s - m))^e."""
+    return GammaExpression(gr={2 - m: e, -m: -e})
+
+
 def random_expression(rng: random.Random, size: int = 3) -> GammaExpression:
-    """Small random formal product with shifts and roots in [-4, 4]."""
-    gr = {}
-    gc = {}
-    lin = {}
+    """Small random formal product of GRs, GCs and linear factors, with
+    shifts and roots in [-4, 4], so GR shifts in [-4, 6]."""
+    x = GammaExpression()
     for _ in range(size):
-        table = rng.choice([gr, gc, lin])
+        kind = rng.choice(["gr", "gc", "lin"])
         k = rng.randint(-4, 4)
-        table[k] = table.get(k, 0) + rng.choice([-2, -1, 1, 2])
-    return GammaExpression(gr=gr, gc=gc, lin=lin).clean()
+        e = rng.choice([-2, -1, 1, 2])
+        x.add(linear_factor(k, e) if kind == "lin"
+              else GammaExpression(**{kind: {k: e}}))
+    return x.clean()
 
 
 def nonsingular_points(rng: random.Random, expr, count: int,

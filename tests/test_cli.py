@@ -201,7 +201,7 @@ def test_regdet_exact_root_with_guard_zero_exit_two(capsys):
     code, out, err = run(capsys, "regdet", "--first", "2", "--finite", "3",
                          "--s", "2", "--guard", "0")
     assert code == 2 and out == ""
-    assert err.splitlines() == ["error: linear factor root m=2 near s=2.0"]
+    assert err.splitlines() == ["error: GR(s-2) singular near s=2.0"]
 
 
 def test_verify_ok_exit_zero(capsys):

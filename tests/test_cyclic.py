@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
 from archfactor import (Place, Progression, SpectralMeasure, a_to_e, betti,
-                        betti_eigen, direct_sum, e_to_a, har_dim, hc_dim,
+                        betti_eigen, direct_sum, e_to_a, evaluate_log,
+                        har_dim, hc_dim,
                         hc_dim_complex, hn_dim, hp_dim, is_cyclic_pair,
                         is_pole_pair, pole_order, preset, regdet_progression,
                         theta_spectrum)
@@ -175,8 +177,14 @@ def test_progression_membership():
     assert tail.multiplicity(0, -3) == tail.multiplicity(0, -7) == 1
     assert tail.multiplicity(0, -4) == tail.multiplicity(0, -1) == 0
     assert tail.multiplicity(1, -3) == 0
+    # ((s-5)(s-4)(s-3)/(2pi)^3)^2, each factor a GR ratio
     finite = regdet_progression(Progression(5, 1, 3, 2))
-    assert finite.lin == {3: 2, 4: 2, 5: 2}
+    assert finite.gr == {-5: -2, -4: -2, -2: 2, -1: 2} and not finite.gc
+    for s in (0.5, 3.5, 4.5, 6.1):
+        val, sign = evaluate_log(finite, s)
+        assert sign == 1
+        assert abs(val - math.fsum(2 * math.log(abs((s - m) / (2 * math.pi)))
+                                   for m in (3, 4, 5))) < 1e-12
 
 
 @pytest.mark.parametrize("args, message", [

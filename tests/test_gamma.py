@@ -8,7 +8,7 @@ import pytest
 from archfactor import (GammaExpression, SingularEvaluationError,
                         evaluate_log, loggamma_signed, nearest_divisor_point,
                         normalize, order_at, product, render)
-from helpers import nonsingular_points, random_expression
+from helpers import linear_factor, nonsingular_points, random_expression
 
 
 def logs_agree(x, y, s, tol=1e-11):
@@ -19,10 +19,24 @@ def logs_agree(x, y, s, tol=1e-11):
 
 def test_identity_is_empty():
     one = GammaExpression()
-    assert one == GammaExpression(gr={0: 0}, gc={1: 0}, lin={2: 0})
+    assert one == GammaExpression(gr={0: 0}, gc={1: 0})
     assert render(one) == "1"
     val, sign = evaluate_log(one, 0.37)
     assert val == 0.0 and sign == 1
+
+
+def test_no_linear_factor_table():
+    # a linear factor is a GR ratio; ``lin`` is only an empty, read-only
+    # view, which benchmark/spans.py still reads
+    assert GammaExpression.__slots__ == ("gr", "gc", "halves")
+    with pytest.raises(TypeError):
+        GammaExpression(lin={2: 1})
+    x = GammaExpression(gr={0: 1})
+    assert x.lin == {} and not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError):
+        x.lin = {2: 1}
+    with pytest.raises(TypeError):
+        x.lin[2] = 1
 
 
 def test_multiply_merges_and_cancels():
@@ -33,11 +47,11 @@ def test_multiply_merges_and_cancels():
 
 
 def test_power_zero_and_negative():
-    x = product((GammaExpression(gr={1: 2}), GammaExpression(lin={-3: 1})))
+    x = product((GammaExpression(gr={1: 2}), linear_factor(-3)))
     zero = GammaExpression().add(x, 0).clean()
-    assert zero == GammaExpression() and zero.gr == zero.lin == {}
+    assert zero == GammaExpression() and zero.gr == zero.gc == {}
     inv = GammaExpression().add(x, -1).clean()
-    assert inv.gr == {1: -2} and inv.lin == {-3: -1}
+    assert inv.gr == {1: -2, 3: 1, 5: -1} and inv.gc == {}
     assert (GammaExpression().add(GammaExpression().add(x, -2), -1)
             == GammaExpression().add(x, 2))
 
@@ -65,14 +79,14 @@ def test_divisor_tail_lookup_and_gap():
     assert order_at(GammaExpression(gr={0: 1}), -100) == -1
     assert order_at(GammaExpression(gr={0: 1}), -99) == 0
     # every point is exact, also between a root and the tails
-    x = GammaExpression(lin={-8: 2})
+    x = linear_factor(-8, 2)
     assert orders(x, -12, 2) == {-8: 2}
     assert order_at(x, -6) == 0
 
 
 def test_nearest_divisor_point_matches_scan():
-    # random_expression keeps roots and shifts in [-4, 4], so a scan of
-    # [-40, 40] sees every point the tails can reach
+    # random_expression keeps shifts in [-4, 6], so a scan of [-40, 40]
+    # sees every point the tails can reach
     rng = random.Random(205)
     assert nearest_divisor_point(GammaExpression()) is None
     for _ in range(300):
@@ -85,11 +99,11 @@ def test_nearest_divisor_point_matches_scan():
 
 def _scan_nearest(x):
     """The search nearest_divisor_point replaced, kept as the reference:
-    order_at at m = 0, -1, 1, -2, 2, ... out to the largest |root| or
-    |shift| plus 2, beyond which the order is 0 or 2-periodic."""
-    if not (x.lin or x.gr or x.gc):
+    order_at at m = 0, -1, 1, -2, 2, ... out to the largest |shift|
+    plus 2, beyond which the order is 0 or 2-periodic."""
+    if not (x.gr or x.gc):
         return None
-    reach = max(map(abs, (*x.lin, *x.gr, *x.gc)), default=0) + 2
+    reach = max(map(abs, (*x.gr, *x.gc)), default=0) + 2
     for k in range(reach + 1):
         for m in sorted({-k, k}):
             if order_at(x, m):
@@ -104,9 +118,11 @@ def test_nearest_divisor_point_matches_the_old_scan():
     for _ in range(3000):
         x = GammaExpression()
         for _ in range(rng.randint(0, 8)):
-            table = rng.choice([x.gr, x.gc, x.lin])
+            kind = rng.choice(["gr", "gc", "lin"])
             k = rng.randint(-30, 30)
-            table[k] = table.get(k, 0) + rng.choice([-2, -1, 1, 2])
+            e = rng.choice([-2, -1, 1, 2])
+            x.add(linear_factor(k, e) if kind == "lin"
+                  else GammaExpression(**{kind: {k: e}}))
         assert nearest_divisor_point(x) == _scan_nearest(x), x
         assert nearest_divisor_point(normalize(x)) == _scan_nearest(x), x
 
@@ -119,20 +135,22 @@ def test_far_witness_is_found_without_a_scan(n):
             (GammaExpression(gr={-n: 1, 2 - n: -1}), n),  # 2 pi / (s - n)
             (GammaExpression(gr={n: 1, n + 2: -1}), -n),
             (GammaExpression(gc={-n: 1, 1 - n: -1}), n),
-            (GammaExpression(lin={-n: 1}), -n)):
+            (linear_factor(-n), -n)):  # (s + n) / 2 pi
         start = time.perf_counter()
         assert nearest_divisor_point(x) == witness, x
         assert time.perf_counter() - start < 0.1, x
 
 
 def test_nearest_divisor_point_none_when_the_factors_cancel():
-    # GR(s)/GR(s+2) = 2 pi / s, so times s it has no zero or pole left
-    x = GammaExpression(gr={0: 1, 2: -1}, lin={0: 1})
+    # GR(s)/GR(s+2) = 2 pi / s, so times s it has no zero or pole left,
+    # even before the zero exponents are dropped
+    x = GammaExpression(gr={0: 1, 2: -1}).add(linear_factor(0))
+    assert x.gr == {0: 0, 2: 0}
     assert nearest_divisor_point(x) is None
 
 
 def test_order_at_matches_linear_factors():
-    x = GammaExpression(gc={0: -1}, lin={2: 3})
+    x = GammaExpression(gc={0: -1}).add(linear_factor(2, 3))
     assert order_at(x, 2) == 3
     assert order_at(x, 0) == 1  # zero of GC^-1
     assert order_at(x, 1) == 0
@@ -206,7 +224,7 @@ def test_singularity_guard():
     with pytest.raises(SingularEvaluationError):
         evaluate_log(GammaExpression(gc={0: 1}), -3.0)
     with pytest.raises(SingularEvaluationError):
-        evaluate_log(GammaExpression(lin={2: 1}), 2.0)
+        evaluate_log(linear_factor(2), 2.0)
     # regular integer points are fine
     evaluate_log(GammaExpression(gr={0: 1}), 2.0)
     evaluate_log(GammaExpression(gc={-1: 1}), 3.0)
@@ -214,31 +232,31 @@ def test_singularity_guard():
 
 GR0, GR1, GR2, GR5 = (GammaExpression(gr={a: 1}) for a in (0, 1, 2, 5))
 GC0, GC1, GC3, GCm1 = (GammaExpression(gc={a: 1}) for a in (0, 1, 3, -1))
-LIN0 = GammaExpression(lin={0: 1})
 
 
 @pytest.mark.parametrize("x, s, guard, message", [
     (GR2, -2.0, 1e-9, "GR(s+2) singular near s=-2.0"),
     (GCm1, 1.0 + 1e-12, 1e-9, "GC(s-1) singular near s=1.000000000001"),
-    (GammaExpression(lin={3: 1}), 3.0, 1e-9,
-     "linear factor root m=3 near s=3.0"),
+    # a linear factor's root is the pole of its lower GR
+    (linear_factor(3), 3.0, 1e-9, "GR(s-3) singular near s=3.0"),
     # a regular factor first changes nothing
     (product((GR5, GC0)), 0.0, 1e-9, "GC(s+0) singular near s=0.0"),
-    # two or three singular factors: GR before GC before a linear root,
-    # and the lowest shift first
-    (product((LIN0, GC0, GR0)), 0.0, 1e-9, "GR(s+0) singular near s=0.0"),
-    (product((LIN0, GC0)), 0.0, 1e-9, "GC(s+0) singular near s=0.0"),
+    # two or three singular factors: GR before GC, and the lowest shift
+    # first; a linear factor rooted elsewhere is regular
+    (product((GCm1, GC0, GR0)), 0.0, 1e-9, "GR(s+0) singular near s=0.0"),
+    (product((linear_factor(1), GC0)), 0.0, 1e-9,
+     "GC(s+0) singular near s=0.0"),
     (product((GR2, GR0)), -2.0, 1e-9, "GR(s+0) singular near s=-2.0"),
     (product((GC3, GC1)), -3.0, 1e-9, "GC(s+1) singular near s=-3.0"),
-    # guard 0: only an exact pole or root is singular, and still reported
-    (GR0, -4.0, 0.0, "Gamma pole at z=-2.0"),
-    (GC1, -1.0, 0.0, "Gamma pole at z=0.0"),
-    (product((GC0, GR0)), -2.0, 0.0, "Gamma pole at z=-1.0"),
-    (product((GR1, GC0)), -2.0, 0.0, "Gamma pole at z=-2.0"),
-    (GammaExpression(lin={0: 1, 1: 1, 2: 1}), 2.0, 0.0,
-     "linear factor root m=2 near s=2.0"),
-    (GammaExpression(lin={-3: 2}), -3.0, -1.0,
-     "linear factor root m=-3 near s=-3.0"),
+    # guard 0: only an exact pole is singular, and still named
+    (GR0, -4.0, 0.0, "GR(s+0) singular near s=-4.0"),
+    (GC1, -1.0, 0.0, "GC(s+1) singular near s=-1.0"),
+    (product((GC0, GR0)), -2.0, 0.0, "GR(s+0) singular near s=-2.0"),
+    (product((GR1, GC0)), -2.0, 0.0, "GC(s+0) singular near s=-2.0"),
+    (product(linear_factor(m) for m in (0, 1, 2)), 2.0, 0.0,
+     "GR(s-2) singular near s=2.0"),
+    # a negative guard names nothing, but an exact pole is still refused
+    (linear_factor(-3, 2), -3.0, -1.0, "Gamma pole at z=0.0"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_singular_errors_are_pinned(x, s, guard, message):
     with pytest.raises(SingularEvaluationError) as info:
@@ -269,7 +287,7 @@ def test_duplication_chain_lowest_first():
 
 def test_linear_absorption_raises_shift():
     # ((s-1)/2pi) * GC(s-1) = GC(s)
-    x = GammaExpression(gc={-1: 1}, lin={1: 1})
+    x = GammaExpression(gc={-1: 1}).add(linear_factor(1))
     n = normalize(x)
     assert n == normalize(GC0)
     for s in (0.3, 1.7, 2.5):
@@ -278,7 +296,8 @@ def test_linear_absorption_raises_shift():
 
 def test_linear_absorption_lowers_shift():
     # GC(s+3)^-1 * ((s)/2pi)((s+1)/2pi)((s+2)/2pi) = GC(s)^-1
-    x = GammaExpression(gc={3: -1}, lin={0: 1, -1: 1, -2: 1})
+    x = product((GammaExpression(gc={3: -1}),
+                 *(linear_factor(m) for m in (0, -1, -2))))
     n = normalize(x)
     assert n == normalize(GammaExpression(gc={0: -1}))
     for s in (0.3, 1.7, 2.5):
@@ -300,17 +319,17 @@ def test_normalize_is_idempotent():
     for _ in range(40):
         n = normalize(random_expression(rng, size=4))
         assert normalize(n) == n
-        assert not n.gc and not n.lin
+        assert not n.gc
 
 
 def test_normalize_size_follows_the_factors_not_the_shifts():
     # each factor keeps its own shift: moving GR(s - 10^6) to GR(s)
-    # would book 500,000 linear factors
+    # would take 500,000 factors (s - m)/2pi
     x = GammaExpression(gr={-10 ** 6: 1, 0: -1})
     n = normalize(x)
-    assert n.gr == {-10 ** 6: 1, 0: -1} and not n.gc and not n.lin
+    assert n.gr == {-10 ** 6: 1, 0: -1} and not n.gc
     # GC(s - 10^6) (s - 10^6)/2pi = GC(s - 10^6 + 1)
-    y = GammaExpression(gc={-10 ** 6: 1}, lin={10 ** 6: 1})
+    y = GammaExpression(gc={-10 ** 6: 1}).add(linear_factor(10 ** 6))
     assert normalize(y) == GammaExpression(
         gr={1 - 10 ** 6: 1, 2 - 10 ** 6: 1}, halves=-2)
     for z in (x, y):
@@ -321,7 +340,9 @@ def test_normalize_size_follows_the_factors_not_the_shifts():
 
 def _value_preserving_rewrite(rng, x):
     # multiply by (one/other)^t for an identity one = other of the
-    # duplication, GC step-1 or GR step-2 kind; t < 0 rewrites backwards
+    # duplication, GC step-1 or GR step-2 kind; t < 0 rewrites backwards.
+    # The linear factor (s+a)/2pi of each shift is written in the other
+    # Gamma: in GR for the GC step, in GC for the GR step
     a = rng.randint(-5, 5)
     kind = rng.randrange(3)
     if kind == 0:    # GR(s+a) GR(s+a+1) = 2 GC(s+a)
@@ -329,10 +350,10 @@ def _value_preserving_rewrite(rng, x):
         other = GammaExpression(gc={a: 1}, halves=2)
     elif kind == 1:  # GC(s+a+1) = ((s+a)/2pi) GC(s+a)
         one = GammaExpression(gc={a + 1: 1})
-        other = GammaExpression(gc={a: 1}, lin={-a: 1})
+        other = GammaExpression(gc={a: 1}).add(linear_factor(-a))
     else:            # GR(s+a+2) = ((s+a)/2pi) GR(s+a)
         one = GammaExpression(gr={a + 2: 1})
-        other = GammaExpression(gr={a: 1}, lin={-a: 1})
+        other = GammaExpression(gr={a: 1}, gc={a + 1: 1, a: -1})
     t = rng.choice([-2, -1, 1, 2])
     return product((x, GammaExpression().add(one, t).add(other, -t)))
 
@@ -353,7 +374,7 @@ def test_normalize_reduces_identity_to_one():
     # GR(s+1)/GR(s-1) = (s-1)/2pi and GC(s-1)/GC(s) = 2pi/(s-1)
     x = GammaExpression(gr={-1: -1, 1: 1}, gc={-1: 1, 0: -1})
     n = normalize(x)
-    assert n == GammaExpression() and n.gr == n.gc == n.lin == {}
+    assert n == GammaExpression() and n.gr == n.gc == {}
 
 
 def test_prefactor_evaluation():
@@ -367,18 +388,18 @@ def test_prefactor_evaluation():
 def test_render_forms():
     assert render(GR0) == "GR(s+0)^1"
     assert render(GammaExpression(gc={-1: -2})) == "GC(s-1)^-2"
-    assert render(GammaExpression(lin={2: 1})) == "((s-2)/2pi)^1"
-    assert render(GammaExpression(lin={-1: 3})) == "((s+1)/2pi)^3"
+    assert render(linear_factor(2)) == "GR(s-2)^-1 * GR(s+0)^1"
+    assert render(linear_factor(-1, 3)) == "GR(s+1)^-3 * GR(s+3)^3"
     assert "2^(1/2)" in render(GammaExpression(halves=1))
     assert [render(GammaExpression(halves=h)) for h in (-3, -2, 6)] == [
         "2^(-3/2)", "2^(-1)", "2^(3)"]
 
 
 def test_canonical_zero_exponents_dropped():
-    x = GammaExpression(gr={0: 0, 2: 1}, gc={1: 0}, lin={0: 0})
+    x = GammaExpression(gr={0: 0, 2: 1}, gc={1: 0})
     assert x == GammaExpression(gr={2: 1})
     assert x.clean() is x
-    assert x.gr == {2: 1} and x.gc == {} and x.lin == {}
-    x = GammaExpression(gr={3: 1, -1: 2, 0: 0}, lin={5: -1, -5: 1}).clean()
+    assert x.gr == {2: 1} and x.gc == {}
+    x = GammaExpression(gr={3: 1, -1: 2, 0: 0}, gc={5: -1, -5: 1}).clean()
     assert list(x.gr.items()) == [(-1, 2), (3, 1)]
-    assert list(x.lin.items()) == [(-5, 1), (5, -1)]
+    assert list(x.gc.items()) == [(-5, 1), (5, -1)]

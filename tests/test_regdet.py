@@ -25,12 +25,54 @@ def test_step_two_closed_form_carries_sqrt2():
     assert x.gr == {0: -2} and x.halves == 2
 
 
+def linear_log(terms, mult, s):
+    """log|prod_m ((s - m)/2pi)^mult| over the terms m, summed directly."""
+    return math.fsum(mult * math.log(abs((s - m) / (2 * math.pi)))
+                     for m in terms)
+
+
 def test_finite_progression_is_plain_product():
+    # (s-3)(s-1)(s+1)/(2pi)^3 squared: the GR ratios telescope
     p = Progression(3, 2, 3, 2)
     x = regdet_progression(p)
-    assert x.lin == {3: 2, 1: 2, -1: 2}
-    assert list(x.lin) == [-1, 1, 3]  # clean: sorted
-    assert x.gr == {} and x.gc == {} and x.halves == 0
+    assert x.gr == {-3: -2, 3: 2}
+    assert list(x.gr) == [-3, 3]  # clean: sorted
+    assert x.gc == {} and x.halves == 0
+    for s in (-4.2, 0.5, 2.5, 7.3):
+        val, sign = evaluate_log(x, s)
+        assert sign == 1
+        assert abs(val - linear_log((3, 1, -1), 2, s)) < 1e-12
+
+
+@pytest.mark.parametrize("first, step, count, mult", [
+    (5, 1, 4, 1), (-2, 1, 7, 3), (4, 2, 5, 1), (0, 3, 4, 2), (1, 5, 3, 1)])
+def test_finite_progression_value_and_sign(first, step, count, mult):
+    x = regdet_progression(Progression(first, step, count, mult))
+    terms = [first - k * step for k in range(count)]
+    for s in (first - step * count - 0.6, first - 1.3, first + 0.4,
+              first + 11.9):
+        val, sign = evaluate_log(x, s)
+        signs = sum(mult for m in terms if s < m) % 2
+        assert sign == (-1 if signs else 1), s
+        assert abs(val - linear_log(terms, mult, s)) < 1e-10, s
+
+
+def test_finite_progression_size_follows_the_step():
+    # steps 1 and 2 telescope, whatever the count; a larger step keeps
+    # one GR pair per term
+    n = 10 ** 5
+    for first in (0, 7, -3):
+        for step in (1, 2):
+            x = regdet_progression(Progression(first, step, n, 3))
+            last = first - (n - 1) * step
+            assert len(x.gr) <= 4 and not x.gc, (first, step, x)
+            assert order_at(x, first) == order_at(x, last) == 3
+            assert order_at(x, first + 1) == order_at(x, last - step) == 0
+        x = regdet_progression(Progression(first, 3, n, 3))
+        assert len(x.gr) == 2 * n and set(x.gr.values()) == {-3, 3}
+    # step 2 from first: GR(s - first + 2n) / GR(s - first)
+    assert regdet_progression(Progression(7, 2, n, 1)) == GammaExpression(
+        gr={-7: -1, 2 * n - 7: 1})
 
 
 def test_empty_progression_gives_identity():
@@ -126,9 +168,10 @@ def test_measure_determinants_and_ratio():
     odd = product(regdet_progression(p) for p in (
         Progression(-1, 1, None, 2), Progression(1, 1, 1, 1)))
     assert even == GammaExpression(gc={0: -1})
-    assert odd == GammaExpression(gc={1: -2}, lin={1: 1})
+    # the one finite term (s - 1)/2pi is GR(s+1) / GR(s-1)
+    assert odd == GammaExpression(gr={-1: -1, 1: 1}, gc={1: -2})
     assert (GammaExpression().add(even).add(odd, -1)
-            == GammaExpression(gc={0: -1, 1: 2}, lin={1: -1}))
+            == GammaExpression(gr={-1: 1, 1: -1}, gc={0: -1, 1: 2}))
 
 
 def test_measure_determinant_multiplicative():

@@ -21,7 +21,7 @@ from archfactor.factors import serre_tables
 from archfactor.gamma import EvaluationRangeError
 from archfactor.regdet import add_tail_determinants
 from archfactor.verify import spread
-from helpers import full_diamond, random_hodge_data
+from helpers import full_diamond, linear_factor, random_hodge_data
 
 
 def test_all_presets_verify():
@@ -217,8 +217,7 @@ def test_tate_twist_moves_the_residue_to_s_minus_one(monkeypatch):
         x = report.residue
         assert twisted.residue == normalize(GammaExpression(
             {a - 1: e for a, e in x.gr.items()},
-            {a - 1: e for a, e in x.gc.items()},
-            {m + 1: e for m, e in x.lin.items()}, x.halves)), data
+            {a - 1: e for a, e in x.gc.items()}, x.halves)), data
         mismatched += not report.ok()
     assert mismatched > 100
 
@@ -271,22 +270,45 @@ def test_spectrum_work_follows_the_data_not_dim(monkeypatch):
 
 
 def test_divisor_work_follows_the_data_not_dim(monkeypatch):
-    calls = []
-    exact = gamma_module.order_at
+    # a stray root (s - root)/2pi in the RHS at root = dim + 4, right of
+    # every eigenvalue, is the residue's one zero.  The search reads the
+    # residue's GR shifts once, as many at dim 10^6 as at 10; a scan
+    # from 0 would ask order_at about each point out to the root
+    work, root = [], []
+    exact_dets = verify_module.add_tail_determinants
+    exact_search = verify_module.nearest_divisor_point
+    exact_shifts = gamma_module.normal_exponents
+    exact_order = gamma_module.order_at
 
-    def counted(x, m):
-        calls.append(m)
-        return exact(x, m)
+    def stray(out, tails, k=1):
+        return exact_dets(out, tails, k).add(linear_factor(root[0]), -1)
 
-    monkeypatch.setattr(gamma_module, "order_at", counted)
-    for pieces in ((), (WeightPiece(0, {(0, 0): 1}),)):
-        counts = []
-        for dim in (10, 10 ** 6):
-            calls.clear()
-            data = HodgeData("sparse", dim, Place.COMPLEX, pieces)
-            assert verify_theorem(data).ok()
-            counts.append(len(calls))
-        assert counts[0] == counts[1], (pieces, counts)
+    def search(x):
+        work.clear()  # only the search's own reads
+        return exact_search(x)
+
+    def shifts(x):
+        gr = exact_shifts(x)
+        work.append(len(gr))
+        return gr
+
+    def order(x, m):
+        work.append(1)
+        return exact_order(x, m)
+
+    monkeypatch.setattr(verify_module, "add_tail_determinants", stray)
+    monkeypatch.setattr(verify_module, "nearest_divisor_point", search)
+    monkeypatch.setattr(gamma_module, "normal_exponents", shifts)
+    monkeypatch.setattr(gamma_module, "order_at", order)
+    counts = []
+    for dim in (10, 10 ** 6):
+        root[:] = [dim + 4]
+        data = HodgeData("sparse", dim, Place.COMPLEX,
+                         (WeightPiece(0, {(0, 0): 1}),))
+        report = verify_theorem(data)
+        assert report.ok() is False and report.mismatch_witness == dim + 4
+        counts.append(sum(work))
+    assert counts[0] == counts[1] > 0, counts
 
 
 @pytest.mark.parametrize("offset", [
@@ -299,10 +321,11 @@ def test_stray_root_is_witnessed(monkeypatch, offset):
     exact = verify_module.add_tail_determinants
     data = preset("P2_C")
     root = data.dim + offset
-    stray = GammaExpression(lin={root: 1})
+    stray = linear_factor(root)
 
     def shifted(out, tails, k=1):
-        # a linear factor ((s - root)/2pi) in each weight's RHS
+        # a linear factor ((s - root)/2pi), as a GR ratio, in each
+        # weight's RHS
         return exact(out, tails, k).add(stray, -1)
 
     monkeypatch.setattr(verify_module, "add_tail_determinants", shifted)
