@@ -21,7 +21,7 @@ from .gamma import (GammaExpression, SINGULARITY_GUARD,
 from .hodge import (HodgeData, InputError, PRESET_NAMES, Place, WeightPiece,
                     betti, betti_eigen, direct_sum, from_json_dict, preset,
                     to_json_dict, validate)
-from .regdet import hurwitz_zeta_deriv0, regdet_progression
+from .regdet import finite_regdet_log, hurwitz_zeta_deriv0, regdet_progression
 from .verify import SamplePoint, VerificationReport, verify_theorem
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .factors import completed_alternating_product, serre_tables
 from .gamma import SINGULARITY_GUARD, evaluate_log, render
 from .hodge import (HodgeData, InputError, PRESET_NAMES, from_json_dict,
                     json_object, preset, to_json_dict, validate)
-from .regdet import hurwitz_zeta_deriv0, regdet_progression
+from .regdet import finite_regdet_log, hurwitz_zeta_deriv0, regdet_progression
 from .verify import verify_theorem
 
 EXIT_OK = 0
@@ -128,7 +128,9 @@ def _cmd_regdet(args, data):
            "determinant": gamma.expression_to_json(expr)}
     lines = [f"determinant: {render(expr)}"]
     if args.s is not None:
-        log_val, sign = evaluate_log(expr, args.s, args.guard)
+        log_val, sign = (evaluate_log(expr, args.s, args.guard)
+                         if args.finite is None
+                         else finite_regdet_log(prog, args.s, args.guard))
         doc["at_s"] = {"s": args.s, "log_abs": log_val, "sign": sign}
         lines.append(f"value at s={args.s}: sign {sign}, "
                      f"log|det| = {log_val:.12g}")

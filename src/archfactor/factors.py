@@ -48,11 +48,17 @@ def serre_factor(piece: WeightPiece, place: Place) -> GammaExpression:
     return serre_tables(piece, Place(place)).clean()
 
 
+def alternating_sign(w: int) -> int:
+    """(-1)^(w+1), the exponent weight w carries in the completed product."""
+    return 1 if w % 2 else -1
+
+
 def completed_alternating_product(data: HodgeData,
                                   factors=None) -> GammaExpression:
-    """prod_w L_w^((-1)^(w+1)) over the weights of the data, from their
+    """prod_w L_w^((-1)^(w+1)) over the weights of the data, copying their
     local factors {w: L_w} when given; an absent weight contributes 1."""
     if factors is None:
-        factors = {p.w: serre_tables(p, data.place) for p in data.weights}
-    return product(GammaExpression().add(x, 1 if w % 2 else -1)
+        return product(serre_tables(p, data.place, alternating_sign(p.w))
+                       for p in data.weights)
+    return product(GammaExpression().add(x, alternating_sign(w))
                    for w, x in factors.items())

@@ -16,7 +16,8 @@ zeta_H'(0, x) = log Gamma(x) - (1/2) log(2*pi) gives the closed forms
 
 A finite progression is the product of its factors (s - m)/(2*pi), each
 the GR ratio GR(s - m + 2) / GR(s - m); for steps 1 and 2 the ratios
-telescope, to at most four GRs whatever the count.  The closed forms
+telescope, to at most four GRs whatever the count.  Its value at a point
+is summed from the factors (:func:`finite_regdet_log`).  The closed forms
 are added into the exponent tables of a :class:`GammaExpression`, each
 tail by its own step; :func:`hurwitz_zeta_deriv0` evaluates
 -zeta_block'(0) for mu = 1 by direct Euler-Maclaurin summation, with no
@@ -27,7 +28,7 @@ for all of the above.
 import math
 
 from .cyclic import Progression
-from .gamma import GammaExpression
+from .gamma import GammaExpression, SINGULARITY_GUARD, SingularEvaluationError
 from .hodge import InputError
 
 # Euler-Maclaurin configuration: explicit terms, then B_2 .. B_12
@@ -72,6 +73,23 @@ def regdet_progression(p: Progression) -> GammaExpression:
         gr[a + 2] = gr.get(a + 2, 0) + mu
         gr[a] = gr.get(a, 0) - mu
     return out.clean()
+
+
+def finite_regdet_log(p: Progression, s: float,
+                      guard: float = SINGULARITY_GUARD):
+    """(log|det|, sign) of a finite block at real s, summed from its
+    factors (s - m)/2pi: left of the terms, the GR ratios have removable
+    poles that :func:`evaluate_log` refuses.  A term m at most ``guard``
+    from s raises, naming the pole GR(s - m) of its ratio."""
+    total, sign, mu = 0.0, 1, p.multiplicity
+    for m in range(p.first - (p.count - 1) * p.step, p.first + 1,
+                   p.step) if mu else ():
+        if s == m or abs(s - m) <= guard:
+            raise SingularEvaluationError(f"GR(s{-m:+d}) singular near s={s}")
+        total += mu * math.log(abs(s - m) / (2.0 * math.pi))
+        if mu % 2 and s < m:
+            sign = -sign
+    return total, sign
 
 
 def hurwitz_zeta_deriv0(x: float, two_pi_over_delta: float) -> float:

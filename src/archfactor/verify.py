@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 
 from .cyclic import weight_tails
-from .factors import serre_tables
+from .factors import alternating_sign, serre_tables
 from .gamma import (LN2, SINGULARITY_GUARD, EvaluationRangeError,
                     GammaExpression, evaluate_log, nearest_divisor_point,
                     normal_exponents, normalize, render)
@@ -116,7 +116,7 @@ def verify_theorem(data: HodgeData, samples=None,
     lhs, rhs, quotient = (GammaExpression() for _ in range(3))
     per_weight = []
     for piece in data.weights:
-        k = 1 if piece.w % 2 else -1
+        k = alternating_sign(piece.w)
         x = serre_tables(piece, data.place, k)
         y = add_tail_determinants(GammaExpression(),
                                   weight_tails(data, piece.w), -k)

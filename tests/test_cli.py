@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import random
 import subprocess
@@ -202,6 +203,22 @@ def test_regdet_exact_root_with_guard_zero_exit_two(capsys):
                          "--s", "2", "--guard", "0")
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: GR(s-2) singular near s=2.0"]
+
+
+@pytest.mark.parametrize("argv, terms", [
+    (["--first", "2", "--finite", "3", "--s", "-4"], (2, 1, 0)),
+    (["--first", "3", "--step", "3", "--finite", "3", "--s", "1"], (3, 0, -3)),
+], ids=["left_of_terms", "between_terms"])
+def test_regdet_finite_off_its_terms(capsys, argv, terms):
+    # regular points of the block at which its GR ratios have removable
+    # poles: the value is the product of the factors (s - m)/2pi
+    code, out, err = run(capsys, "regdet", *argv, "--json")
+    assert code == 0 and err == ""
+    at = json.loads(out)["at_s"]
+    s = at["s"]
+    assert at["sign"] == (1 if math.prod(s - m for m in terms) > 0 else -1)
+    assert abs(at["log_abs"] - math.fsum(
+        math.log(abs((s - m) / (2 * math.pi))) for m in terms)) < 1e-12
 
 
 def test_verify_ok_exit_zero(capsys):

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from archfactor import (GammaExpression, Progression, evaluate_log,
-                        hurwitz_zeta_deriv0, normalize, order_at, product,
-                        regdet_progression)
+from archfactor import (GammaExpression, Progression,
+                        SingularEvaluationError, evaluate_log,
+                        finite_regdet_log, hurwitz_zeta_deriv0, normalize,
+                        order_at, product, regdet_progression)
 
 
 def test_step_one_closed_form():
@@ -47,14 +48,47 @@ def test_finite_progression_is_plain_product():
 @pytest.mark.parametrize("first, step, count, mult", [
     (5, 1, 4, 1), (-2, 1, 7, 3), (4, 2, 5, 1), (0, 3, 4, 2), (1, 5, 3, 1)])
 def test_finite_progression_value_and_sign(first, step, count, mult):
-    x = regdet_progression(Progression(first, step, count, mult))
+    p = Progression(first, step, count, mult)
+    x = regdet_progression(p)
     terms = [first - k * step for k in range(count)]
     for s in (first - step * count - 0.6, first - 1.3, first + 0.4,
               first + 11.9):
-        val, sign = evaluate_log(x, s)
         signs = sum(mult for m in terms if s < m) % 2
-        assert sign == (-1 if signs else 1), s
-        assert abs(val - linear_log(terms, mult, s)) < 1e-10, s
+        for val, sign in (evaluate_log(x, s), finite_regdet_log(p, s)):
+            assert sign == (-1 if signs else 1), s
+            assert abs(val - linear_log(terms, mult, s)) < 1e-10, s
+    # every integer off the terms is a regular point of the block, though
+    # left of the terms its GR ratios have removable poles there
+    for s in range(first - step * count - 3, first + 3):
+        if s not in terms:
+            val, sign = finite_regdet_log(p, float(s))
+            signs = sum(mult for m in terms if s < m) % 2
+            assert sign == (-1 if signs else 1), s
+            assert abs(val - linear_log(terms, mult, s)) < 1e-12, s
+
+
+def test_finite_block_where_its_ratios_meet_removable_poles():
+    # (s-2)(s-1)s/(2pi)^3 at s = -4 is -120/(2pi)^3, while GR(s-2) and
+    # GR(s+0) of its ratios both have poles there
+    p = Progression(2, 1, 3, 1)
+    with pytest.raises(SingularEvaluationError):
+        evaluate_log(regdet_progression(p), -4.0)
+    val, sign = finite_regdet_log(p, -4.0)
+    assert sign == -1
+    assert abs(val - math.log(120 / (2 * math.pi) ** 3)) < 1e-14
+    # far left the sum of small logs keeps its accuracy
+    p = Progression(0, 1, 1000, 1)
+    s = -1e6 - 0.5
+    val, sign = finite_regdet_log(p, s)
+    ref = linear_log(range(-999, 1), 1, s)
+    assert sign == 1 and abs(val - ref) <= 1e-14 * abs(ref)
+    # a term within the guard raises, naming the pole of its ratio; a
+    # block of multiplicity 0 is 1 everywhere
+    for s, guard in ((-7.0, 0.0), (-7.0 + 1e-10, 1e-9)):
+        with pytest.raises(SingularEvaluationError) as info:
+            finite_regdet_log(p, s, guard)
+        assert str(info.value) == f"GR(s+7) singular near s={s}"
+    assert finite_regdet_log(Progression(2, 1, 3, 0), 2.0, 0.0) == (0.0, 1)
 
 
 def test_finite_progression_size_follows_the_step():

@@ -205,6 +205,12 @@ def cli_commands(files):
            "0"]
     yield ["regdet", "--first", "2", "--finite", "3", "--s", "2", "--guard",
            "0"]
+    # integers left of and between the terms of finite blocks, regular
+    # points at which their GR ratios have removable poles
+    yield ["regdet", "--first", "2", "--finite", "3", "--s", "-4"]
+    yield ["regdet", "--first", "2", "--finite", "3", "--s", "-4", "--json"]
+    yield ["regdet", "--first", "3", "--step", "3", "--finite", "3", "--s",
+           "1"]
 
 
 def cli_outputs():
